@@ -8,13 +8,14 @@ other workloads behave similarly.
 """
 
 from repro.analysis.report import render_table
-from repro.experiments import motivation
+from repro.harness.figures import figure_rows
 
 
 def test_fig2_beyond_final_sp(benchmark):
     results = benchmark.pedantic(
-        motivation.fig2_beyond_final_sp,
-        kwargs={"num_intervals": 100, "target_ops": 120_000},
+        figure_rows,
+        args=("fig2", 120_000),
+        kwargs={"num_intervals": 100},
         rounds=1,
         iterations=1,
     )
@@ -24,12 +25,13 @@ def test_fig2_beyond_final_sp(benchmark):
             "Figure 2: stack writes beyond interval-final SP (100 intervals)",
             ["workload", "stack writes", "beyond final SP", "fraction"],
             [
-                [r.workload, r.total_writes, r.total_beyond, f"{r.beyond_fraction:.3f}"]
+                [r["workload"], r["total_writes"], r["total_beyond"],
+                 f"{r['beyond_fraction']:.3f}"]
                 for r in results
             ],
         )
     )
-    ycsb = next(r for r in results if r.workload == "ycsb_mem")
-    assert ycsb.beyond_fraction > 0.1
+    ycsb = next(r for r in results if r["workload"] == "ycsb_mem")
+    assert ycsb["beyond_fraction"] > 0.1
     for r in results:
-        assert 0 <= r.beyond_fraction <= 1
+        assert 0 <= r["beyond_fraction"] <= 1

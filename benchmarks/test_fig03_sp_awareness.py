@@ -9,13 +9,14 @@ yet even SP-aware variants stay >35x slower than no persistence.
 """
 
 from repro.analysis.report import render_table
-from repro.experiments import motivation
+from repro.harness.figures import figure_rows
 
 
 def test_fig3_sp_awareness(benchmark):
     cells = benchmark.pedantic(
-        motivation.fig3_sp_awareness,
-        kwargs={"target_ops": 60_000, "num_intervals": 20},
+        figure_rows,
+        args=("fig3", 60_000),
+        kwargs={"num_intervals": 20},
         rounds=1,
         iterations=1,
     )
@@ -24,10 +25,10 @@ def test_fig3_sp_awareness(benchmark):
     for cell in cells:
         rows.append(
             [
-                cell.workload,
-                cell.mechanism,
-                "yes" if cell.sp_aware else "no",
-                f"{cell.normalized_time:.1f}x",
+                cell["workload"],
+                cell["mechanism"],
+                "yes" if cell["sp_aware"] else "no",
+                f"{cell['normalized_time']:.1f}x",
             ]
         )
     print(
@@ -38,17 +39,13 @@ def test_fig3_sp_awareness(benchmark):
         )
     )
     # SP awareness helps every (workload, mechanism) pair.
-    for workload in {c.workload for c in cells}:
+    time = {
+        (c["workload"], c["mechanism"], c["sp_aware"]): c["normalized_time"]
+        for c in cells
+    }
+    for workload in {c["workload"] for c in cells}:
         for mech in ("flush", "undo", "redo"):
-            blind = next(
-                c.normalized_time
-                for c in cells
-                if c.workload == workload and c.mechanism == mech and not c.sp_aware
-            )
-            aware = next(
-                c.normalized_time
-                for c in cells
-                if c.workload == workload and c.mechanism == mech and c.sp_aware
-            )
+            blind = time[workload, mech, False]
+            aware = time[workload, mech, True]
             assert aware <= blind
             assert aware > 2.0  # still far from free

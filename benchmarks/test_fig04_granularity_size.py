@@ -8,16 +8,21 @@ ordered gapbs > g500 > ycsb.
 """
 
 from repro.analysis.report import format_bytes, render_table
-from repro.experiments import motivation
+from repro.harness.figures import figure_rows
 
 
 def test_fig4_copy_size(benchmark):
     rows = benchmark.pedantic(
-        motivation.fig4_copy_size,
-        kwargs={"num_intervals": 50, "target_ops": 120_000},
+        figure_rows,
+        args=("fig4", 120_000),
+        kwargs={"num_intervals": 50},
         rounds=1,
         iterations=1,
     )
+    reduction = {
+        r["workload"]: r["page_bytes_per_interval"] / r["byte_bytes_per_interval"]
+        for r in rows
+    }
     print()
     print(
         render_table(
@@ -25,15 +30,15 @@ def test_fig4_copy_size(benchmark):
             ["workload", "page (4KiB)", "8-byte", "reduction"],
             [
                 [
-                    r.workload,
-                    format_bytes(r.page_bytes_per_interval),
-                    format_bytes(r.byte_bytes_per_interval),
-                    f"{r.reduction_factor:.1f}x",
+                    r["workload"],
+                    format_bytes(r["page_bytes_per_interval"]),
+                    format_bytes(r["byte_bytes_per_interval"]),
+                    f"{reduction[r['workload']]:.1f}x",
                 ]
                 for r in rows
             ],
         )
     )
-    by_name = {r.workload: r.reduction_factor for r in rows}
+    by_name = reduction
     assert by_name["gapbs_pr"] > by_name["g500_sssp"] > by_name["ycsb_mem"] > 1
     assert by_name["gapbs_pr"] > 20

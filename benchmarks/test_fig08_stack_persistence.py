@@ -10,19 +10,19 @@ from 10 us to 1 ms; Romulus worst across all workloads.
 from collections import defaultdict
 
 from repro.analysis.report import render_table
-from repro.experiments import evaluation
+from repro.harness.figures import figure_rows
 
 
 def test_fig8_stack_persistence(benchmark):
     results = benchmark.pedantic(
-        evaluation.fig8_stack_persistence,
-        kwargs={"target_ops": 80_000},
+        figure_rows,
+        args=("fig8", 80_000),
         rounds=1,
         iterations=1,
     )
     table = defaultdict(dict)
     for r in results:
-        table[r.trace_name][r.mechanism_name] = r.normalized_time
+        table[r["workload"]][r["mechanism"]] = r["normalized_time"]
     mechanisms = ["prosper", "dirtybit", "ssp-10us", "ssp-100us", "ssp-1ms", "romulus"]
     print()
     print(

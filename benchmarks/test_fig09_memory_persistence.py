@@ -11,19 +11,19 @@ interval grows.
 from collections import defaultdict
 
 from repro.analysis.report import render_table
-from repro.experiments import evaluation
+from repro.harness.figures import figure_rows
 
 
 def test_fig9_memory_persistence(benchmark):
     cells = benchmark.pedantic(
-        evaluation.fig9_memory_persistence,
-        kwargs={"target_ops": 60_000},
+        figure_rows,
+        args=("fig9", 60_000),
         rounds=1,
         iterations=1,
     )
     table = defaultdict(dict)
     for c in cells:
-        table[(c.workload, c.ssp_interval_us)][c.combination] = c.normalized_time
+        table[(c["workload"], c["ssp_interval_us"])][c["combination"]] = c["normalized_time"]
     combos = ["ssp", "ssp+dirtybit", "ssp+prosper"]
     print()
     print(

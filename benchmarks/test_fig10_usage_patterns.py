@@ -11,21 +11,25 @@ copy size.
 from collections import defaultdict
 
 from repro.analysis.report import format_bytes, render_table
-from repro.experiments import evaluation
+from repro.harness.figures import figure_rows
 
 
 def test_fig10_usage_patterns(benchmark):
     cells = benchmark.pedantic(
-        evaluation.fig10_usage_patterns,
+        figure_rows,
+        args=("fig10", 60_000),
         kwargs={"scale": 0.6},
         rounds=1,
         iterations=1,
     )
     sizes = defaultdict(dict)
     times = defaultdict(dict)
+    cycles = defaultdict(dict)
     for c in cells:
-        sizes[c.workload][c.granularity] = c.mean_checkpoint_bytes
-        times[c.workload][c.granularity] = c.checkpoint_time_vs_dirtybit
+        sizes[c["workload"]][c["granularity"]] = c["mean_checkpoint_bytes"]
+        cycles[c["workload"]][c["granularity"]] = c["mean_checkpoint_cycles"] or 0.0
+    for w, row in cycles.items():
+        times[w] = {g: value / row["page"] for g, value in row.items()}
     columns = ["page", 8, 16, 32, 64, 128]
     print()
     print(

@@ -12,20 +12,21 @@ checkpoints carry no data yet still pay the bitmap inspection.
 from collections import defaultdict
 
 from repro.analysis.report import format_bytes, render_table
-from repro.experiments import evaluation
+from repro.harness.figures import figure_rows
 
 
 def test_fig11_interval_sweep(benchmark):
     cells = benchmark.pedantic(
-        evaluation.fig11_interval_sweep,
+        figure_rows,
+        args=("fig11", 0),  # the units fix their own trace sizes
         rounds=1,
         iterations=1,
     )
     sizes = defaultdict(dict)
     per_byte = defaultdict(dict)
     for c in cells:
-        sizes[c.workload][c.interval_paper_ms] = c.mean_checkpoint_bytes
-        per_byte[c.workload][c.interval_paper_ms] = c.ns_per_byte
+        sizes[c["workload"]][c["interval_paper_ms"]] = c["mean_checkpoint_bytes"]
+        per_byte[c["workload"]][c["interval_paper_ms"]] = c["ns_per_byte"]
     intervals = [1.0, 5.0, 10.0]
     print()
     print(

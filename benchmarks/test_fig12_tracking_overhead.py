@@ -10,19 +10,19 @@ Paper shape: less than 1 % average overhead, about 3 % worst case
 from collections import defaultdict
 
 from repro.analysis.report import render_table
-from repro.experiments import overhead
+from repro.harness.figures import figure_rows
 
 
 def test_fig12_tracking_overhead(benchmark):
     cells = benchmark.pedantic(
-        overhead.fig12_tracking_overhead,
-        kwargs={"target_ops": 80_000},
+        figure_rows,
+        args=("fig12", 80_000),
         rounds=1,
         iterations=1,
     )
     table = defaultdict(dict)
     for c in cells:
-        table[c.workload][c.granularity] = c.speedup
+        table[c["workload"]][c["granularity"]] = c["speedup"]
     grans = [8, 64, 128]
     print()
     print(

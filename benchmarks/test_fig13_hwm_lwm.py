@@ -11,23 +11,24 @@ grows and benefits from a larger LWM.
 from collections import defaultdict
 
 from repro.analysis.report import render_table
-from repro.experiments import overhead
+from repro.harness.figures import figure_rows
 
 
 def test_fig13_watermarks(benchmark):
     cells = benchmark.pedantic(
-        overhead.fig13_watermark_sensitivity,
-        kwargs={"target_ops": 80_000},
+        figure_rows,
+        args=("fig13", 80_000),
         rounds=1,
         iterations=1,
     )
     hwm_rows = defaultdict(dict)
     lwm_rows = defaultdict(dict)
     for c in cells:
-        if c.lwm == 4:
-            hwm_rows[c.workload][c.hwm] = (c.bitmap_loads, c.bitmap_stores)
-        if c.hwm == 24:
-            lwm_rows[c.workload][c.lwm] = (c.bitmap_loads, c.bitmap_stores)
+        counts = (c["bitmap_loads"], c["bitmap_stores"])
+        if c["lwm"] == 4:
+            hwm_rows[c["workload"]][c["hwm"]] = counts
+        if c["hwm"] == 24:
+            lwm_rows[c["workload"]][c["lwm"]] = counts
 
     print()
     for title, rows, key in (

@@ -4,16 +4,38 @@
 document with every experiment's regenerated table plus the qualitative
 verdicts of the shape validation — the same content EXPERIMENTS.md records,
 but produced live from the current code at the requested scale.
+
+The report runs no sweep of its own.  Its units (:func:`report_units`) are
+the fig1/2/4/8/10/12/13 units its sections render, under their own figure
+names and ids, plus the shape-validation runs: those figures' units at
+other seeds and a clamped trace length, listed as ``report`` units
+``validate/<seed>/<figure>/<unit_id>``.  :func:`render_report` folds the
+payloads into markdown.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from repro.analysis.report import format_bytes
-from repro.experiments import evaluation, motivation, overhead
-from repro.experiments.validation import summarize, validate_shapes
+from repro.experiments.validation import check_units, shape_checks, summarize
+from repro.harness.figures import RunUnit, figure_units, run_inline
+
+#: Seeds of the shape validation.
+REPORT_SEEDS = (42, 7)
+
+#: The figure units the sections render, in section order.
+_SECTION_UNITS = (
+    ("fig1", None),
+    ("fig2", None),
+    ("fig4", None),
+    ("fig8", None),
+    ("fig10", lambda unit: unit.params["granularity"] in ("page", 8)),
+    ("fig12", lambda unit: unit.params["granularity"] == 8),
+    ("fig13", lambda unit: not unit.unit_id.endswith("/lwm4")),
+)
 
 
 @dataclass(frozen=True)
@@ -30,125 +52,161 @@ def _md_table(headers: list[str], rows: list[list[object]]) -> str:
     return "\n".join(lines)
 
 
-def _fig1_section(ops: int) -> ReportSection:
-    rows = motivation.fig1_stack_fraction(target_ops=ops)
+def _validation_ops(ops: int) -> int:
+    # The lookup-table pressure dynamics behind the mcf HWM trend need a
+    # minimum trace length to manifest; clamp the validation scale.
+    return max(20_000, min(ops, 25_000))
+
+
+def report_units(ops: int, seeds: tuple[int, ...] = REPORT_SEEDS) -> list[RunUnit]:
+    """Every unit the report renders, sections first, then validation."""
+    units = [
+        unit for name, where in _SECTION_UNITS for unit in figure_units(name, ops, where)
+    ]
+    for seed in seeds:
+        units.extend(
+            RunUnit(
+                "report",
+                f"validate/{seed}/{unit.figure}/{unit.unit_id}",
+                {"figure": unit.figure, "params": unit.params},
+            )
+            for unit in check_units(seed, _validation_ops(ops))
+        )
+    return units
+
+
+def _fig1_section(rows: list[dict]) -> ReportSection:
     table = _md_table(
         ["workload", "stack op fraction", "stack write fraction"],
-        [[r.workload, f"{r.stack_fraction:.3f}", f"{r.stack_write_fraction:.3f}"] for r in rows],
+        [[r["workload"], f"{r['stack_fraction']:.3f}", f"{r['stack_write_fraction']:.3f}"]
+         for r in rows],
     )
     return ReportSection("Figure 1 — stack share of memory operations", table)
 
 
-def _fig2_section(ops: int) -> ReportSection:
-    rows = motivation.fig2_beyond_final_sp(num_intervals=100, target_ops=ops)
+def _fig2_section(rows: list[dict]) -> ReportSection:
     table = _md_table(
         ["workload", "stack writes", "beyond final SP", "fraction"],
-        [[r.workload, r.total_writes, r.total_beyond, f"{r.beyond_fraction:.3f}"] for r in rows],
+        [[r["workload"], r["total_writes"], r["total_beyond"], f"{r['beyond_fraction']:.3f}"]
+         for r in rows],
     )
     return ReportSection("Figure 2 — writes beyond the interval-final SP", table)
 
 
-def _fig4_section(ops: int) -> ReportSection:
-    rows = motivation.fig4_copy_size(target_ops=ops)
-    table = _md_table(
-        ["workload", "page copy", "8-byte copy", "reduction"],
-        [
-            [r.workload, format_bytes(r.page_bytes_per_interval),
-             format_bytes(r.byte_bytes_per_interval), f"{r.reduction_factor:.1f}x"]
-            for r in rows
-        ],
-    )
+def _fig4_section(rows: list[dict]) -> ReportSection:
+    rendered = []
+    for r in rows:
+        fine = r["byte_bytes_per_interval"]
+        reduction = r["page_bytes_per_interval"] / fine if fine else float("inf")
+        rendered.append(
+            [r["workload"], format_bytes(r["page_bytes_per_interval"]),
+             format_bytes(fine), f"{reduction:.1f}x"]
+        )
+    table = _md_table(["workload", "page copy", "8-byte copy", "reduction"], rendered)
     return ReportSection("Figure 4 — page vs 8-byte copy size", table)
 
 
-def _fig8_section(ops: int) -> ReportSection:
-    results = evaluation.fig8_stack_persistence(target_ops=ops)
-    table: dict[str, dict[str, float]] = {}
-    for r in results:
-        table.setdefault(r.trace_name, {})[r.mechanism_name] = r.normalized_time
-    mechanisms = sorted(next(iter(table.values())))
+def _fig8_section(rows: list[dict]) -> ReportSection:
+    table: dict[str, dict[str, float]] = defaultdict(dict)
+    for r in rows:
+        table[r["workload"]][r["mechanism"]] = r["normalized_time"]
+    mechanisms = sorted({r["mechanism"] for r in rows})
     md = _md_table(
         ["workload"] + mechanisms,
-        [[w] + [f"{row[m]:.2f}" for m in mechanisms] for w, row in sorted(table.items())],
+        [[w] + [f"{row[m]:.2f}" if m in row else "-" for m in mechanisms]
+         for w, row in sorted(table.items())],
     )
     return ReportSection("Figure 8 — stack persistence (normalized time)", md)
 
 
-def _fig10_section(ops: int) -> ReportSection:
-    cells = evaluation.fig10_usage_patterns(scale=max(0.2, min(1.0, ops / 100_000)))
-    sizes: dict[str, dict] = {}
-    times: dict[str, dict] = {}
-    for c in cells:
-        sizes.setdefault(c.workload, {})[c.granularity] = c.mean_checkpoint_bytes
-        times.setdefault(c.workload, {})[c.granularity] = c.checkpoint_time_vs_dirtybit
+def _fig10_section(rows: list[dict]) -> ReportSection:
+    cells: dict[str, dict] = defaultdict(dict)
+    for r in rows:
+        cells[r["workload"]][r["granularity"]] = r
+    md_rows = []
+    for w, row in sorted(cells.items()):
+        if 8 in row and "page" in row:
+            fine, page = row[8], row["page"]
+            ratio = (fine["mean_checkpoint_cycles"] or 0.0) / page["mean_checkpoint_cycles"]
+            md_rows.append(
+                [w, format_bytes(fine["mean_checkpoint_bytes"]),
+                 format_bytes(page["mean_checkpoint_bytes"]), f"{ratio:.3f}"]
+            )
     md = _md_table(
-        ["workload", "size 8B", "size page", "time vs dirtybit (8B)"],
-        [
-            [w, format_bytes(sizes[w][8]), format_bytes(sizes[w]["page"]),
-             f"{times[w][8]:.3f}"]
-            for w in sorted(sizes)
-        ],
+        ["workload", "size 8B", "size page", "time vs dirtybit (8B)"], md_rows
     )
     return ReportSection("Figure 10 — usage patterns at 8 B granularity", md)
 
 
-def _fig12_section(ops: int) -> ReportSection:
-    cells = overhead.fig12_tracking_overhead(target_ops=ops, granularities=(8,))
+def _fig12_section(rows: list[dict]) -> ReportSection:
+    overheads = [(1.0 - r["speedup"]) * 100.0 for r in rows]
     md = _md_table(
         ["workload", "speedup", "overhead %"],
-        [[c.workload, f"{c.speedup:.4f}", f"{c.overhead_percent:.2f}"] for c in cells],
+        [[r["workload"], f"{r['speedup']:.4f}", f"{pct:.2f}"]
+         for r, pct in zip(rows, overheads)],
     )
-    mean = sum(c.overhead_percent for c in cells) / len(cells)
-    return ReportSection(
-        "Figure 12 — tracking overhead",
-        md + f"\n\nMean overhead: {mean:.2f} % (paper: <1 % average).",
-    )
+    if overheads:
+        mean = sum(overheads) / len(overheads)
+        md += f"\n\nMean overhead: {mean:.2f} % (paper: <1 % average)."
+    return ReportSection("Figure 12 — tracking overhead", md)
 
 
-def _fig13_section(ops: int) -> ReportSection:
-    cells = overhead.fig13_watermark_sensitivity(
-        target_ops=ops, hwm_values=(8, 16, 24, 32), lwm_values=(2, 8, 16)
-    )
+def _fig13_section(rows: list[dict]) -> ReportSection:
     md = _md_table(
         ["workload", "HWM", "LWM", "bitmap ops"],
-        [[c.workload, c.hwm, c.lwm, c.memory_ops] for c in cells],
+        [[r["workload"], r["hwm"], r["lwm"], r["bitmap_loads"] + r["bitmap_stores"]]
+         for r in rows],
     )
     return ReportSection("Figure 13 — HWM/LWM sensitivity", md)
 
 
-def _validation_section(ops: int, seeds: tuple[int, ...]) -> ReportSection:
-    # The lookup-table pressure dynamics behind the mcf HWM trend need a
-    # minimum trace length to manifest; clamp the validation scale.
-    scale = max(20_000, min(ops, 25_000))
-    summary = summarize(validate_shapes(seeds=seeds, target_ops=scale))
+def _validation_section(
+    seeds: tuple[int, ...], rows: dict[int, dict[str, list[dict]]], missing: int
+) -> ReportSection:
+    title = f"Shape validation across seeds {list(seeds)}"
+    if missing:
+        return ReportSection(title, f"**{missing} validation runs failed; no verdict**.")
+    results = [r for seed in seeds for r in shape_checks(seed, rows[seed])]
+    summary = summarize(results)
     md = _md_table(
         ["shape check", "passes", "total"],
         [[name, p, t] for name, (p, t) in sorted(summary.items())],
     )
     all_pass = all(p == t for p, t in summary.values())
     verdict = "**all shape checks pass**" if all_pass else "**some checks FAILED**"
-    return ReportSection(
-        f"Shape validation across seeds {list(seeds)}", md + f"\n\n{verdict}."
-    )
+    return ReportSection(title, md + f"\n\n{verdict}.")
 
 
-def generate_report(
-    ops: int = 40_000,
-    seeds: tuple[int, ...] = (42, 7),
+def render_report(
+    ops: int,
+    payloads: dict[tuple[str, str], dict],
+    seeds: tuple[int, ...] = REPORT_SEEDS,
     timestamp: str | None = None,
 ) -> str:
-    """Build the full markdown report; returns it as a string."""
-    stamp = timestamp or datetime.now(timezone.utc).strftime("%Y-%m-%d %H:%M UTC")
+    """The markdown report from the payloads of :func:`report_units`."""
+    rows: dict[str, list[dict]] = defaultdict(list)
+    checked: dict[int, dict[str, list[dict]]] = defaultdict(lambda: defaultdict(list))
+    for (figure, unit_id), payload in payloads.items():
+        if figure == "report":
+            _, seed, target, _ = unit_id.split("/", 3)
+            checked[int(seed)][target].extend(payload["rows"])
+        else:
+            rows[figure].extend(payload["rows"])
+    missing = sum(
+        1 for unit in report_units(ops, seeds)
+        if unit.figure == "report" and (unit.figure, unit.unit_id) not in payloads
+    )
     sections = [
-        _fig1_section(ops),
-        _fig2_section(ops),
-        _fig4_section(ops),
-        _fig8_section(ops),
-        _fig10_section(ops),
-        _fig12_section(ops),
-        _fig13_section(ops),
-        _validation_section(ops, seeds),
+        _fig1_section(rows["fig1"]),
+        _fig2_section(rows["fig2"]),
+        _fig4_section(rows["fig4"]),
+        _fig8_section(rows["fig8"]),
+        _fig10_section(rows["fig10"]),
+        _fig12_section(rows["fig12"]),
+        _fig13_section(rows["fig13"]),
+        _validation_section(seeds, checked, missing),
     ]
+    stamp = timestamp or datetime.now(timezone.utc).strftime("%Y-%m-%d %H:%M UTC")
     parts = [
         "# Prosper reproduction report",
         "",
@@ -164,3 +222,12 @@ def generate_report(
         parts.append(section.body_markdown)
         parts.append("")
     return "\n".join(parts)
+
+
+def generate_report(
+    ops: int = 40_000,
+    seeds: tuple[int, ...] = REPORT_SEEDS,
+    timestamp: str | None = None,
+) -> str:
+    """Build the full markdown report inline; returns it as a string."""
+    return render_report(ops, run_inline(report_units(ops, seeds)), seeds, timestamp)

@@ -14,13 +14,16 @@ report can state that the orderings are not one-draw luck:
 6. Tracking overhead stays under 2 % per workload (Figure 12).
 7. mcf's bitmap traffic does not improve with a larger HWM while SSSP's
    does (Figure 13).
+
+The checks read the rows of the figures' own run units, re-seeded:
+:data:`CHECKS` names the units each figure contributes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments import evaluation, motivation, overhead
+from repro.harness.figures import RunUnit, figure_rows, figure_units
 
 
 @dataclass(frozen=True)
@@ -33,13 +36,16 @@ class CheckResult:
     detail: str
 
 
-def _fig8_checks(seed: int, target_ops: int) -> list[CheckResult]:
-    results = evaluation.fig8_stack_persistence(target_ops=target_ops, seed=seed)
-    table: dict[str, dict[str, float]] = {}
-    for r in results:
-        table.setdefault(r.trace_name, {})[r.mechanism_name] = r.normalized_time
+def _by_workload(rows: list[dict], key: str) -> dict[str, dict]:
+    table: dict[str, dict] = {}
+    for r in rows:
+        table.setdefault(r["workload"], {})[r[key]] = r["normalized_time"]
+    return table
+
+
+def _fig8_checks(seed: int, rows: list[dict]) -> list[CheckResult]:
     out = []
-    for workload, row in table.items():
+    for workload, row in _by_workload(rows, "mechanism").items():
         best = min(row, key=row.get)
         worst = max(row, key=row.get)
         out.append(
@@ -64,52 +70,43 @@ def _fig8_checks(seed: int, target_ops: int) -> list[CheckResult]:
     return out
 
 
-def _fig9_checks(seed: int, target_ops: int) -> list[CheckResult]:
-    cells = evaluation.fig9_memory_persistence(
-        target_ops=target_ops, ssp_intervals_us=(10.0,), seed=seed
-    )
-    table: dict[str, dict[str, float]] = {}
-    for c in cells:
-        table.setdefault(c.workload, {})[c.combination] = c.normalized_time
+def _fig9_checks(seed: int, rows: list[dict]) -> list[CheckResult]:
     return [
         CheckResult(
             "fig9-prosper-combo-best", seed,
             row["ssp+prosper"] <= row["ssp"] * 1.001,
             f"{workload}: ssp+prosper={row['ssp+prosper']:.2f} ssp={row['ssp']:.2f}",
         )
-        for workload, row in table.items()
+        for workload, row in _by_workload(rows, "combination").items()
     ]
 
 
-def _fig4_checks(seed: int, target_ops: int) -> list[CheckResult]:
-    rows = motivation.fig4_copy_size(target_ops=target_ops, seed=seed)
+def _fig4_checks(seed: int, rows: list[dict]) -> list[CheckResult]:
+    out = []
+    for row in rows:
+        fine = row["byte_bytes_per_interval"]
+        reduction = row["page_bytes_per_interval"] / fine if fine else float("inf")
+        out.append(
+            CheckResult(
+                "fig4-reduction", seed, reduction > 5.0,
+                f"{row['workload']}: {reduction:.1f}x",
+            )
+        )
+    return out
+
+
+def _fig12_checks(seed: int, rows: list[dict]) -> list[CheckResult]:
     return [
         CheckResult(
-            "fig4-reduction", seed, row.reduction_factor > 5.0,
-            f"{row.workload}: {row.reduction_factor:.1f}x",
+            "fig12-overhead-small", seed, row["speedup"] > 0.98,
+            f"{row['workload']}: speedup={row['speedup']:.4f}",
         )
         for row in rows
     ]
 
 
-def _fig12_checks(seed: int, target_ops: int) -> list[CheckResult]:
-    cells = overhead.fig12_tracking_overhead(
-        target_ops=target_ops, granularities=(8,), seed=seed
-    )
-    return [
-        CheckResult(
-            "fig12-overhead-small", seed, cell.speedup > 0.98,
-            f"{cell.workload}: speedup={cell.speedup:.4f}",
-        )
-        for cell in cells
-    ]
-
-
-def _fig13_checks(seed: int, target_ops: int) -> list[CheckResult]:
-    cells = overhead.fig13_watermark_sensitivity(
-        target_ops=target_ops, hwm_values=(8, 32), lwm_values=(), seed=seed
-    )
-    by = {(c.workload, c.hwm): c.memory_ops for c in cells}
+def _fig13_checks(seed: int, rows: list[dict]) -> list[CheckResult]:
+    by = {(r["workload"], r["hwm"]): r["bitmap_loads"] + r["bitmap_stores"] for r in rows}
     return [
         CheckResult(
             "fig13-sssp-hwm-down", seed,
@@ -124,6 +121,35 @@ def _fig13_checks(seed: int, target_ops: int) -> list[CheckResult]:
     ]
 
 
+#: Per figure: the units its checks read (``None``: all of them), and the
+#: checks, in check order.
+CHECKS = {
+    "fig8": (None, _fig8_checks),
+    "fig9": (lambda unit: unit.params["ssp_interval_us"] == 10.0, _fig9_checks),
+    "fig4": (None, _fig4_checks),
+    "fig12": (lambda unit: unit.params["granularity"] == 8, _fig12_checks),
+    "fig13": (lambda unit: unit.unit_id.endswith(("/hwm8", "/hwm32")), _fig13_checks),
+}
+
+
+def check_units(seed: int, target_ops: int) -> list[RunUnit]:
+    """The units the checks read at *seed*, in check order."""
+    return [
+        unit
+        for name, (where, _) in CHECKS.items()
+        for unit in figure_units(name, target_ops, where, seed=seed)
+    ]
+
+
+def shape_checks(seed: int, rows: dict[str, list[dict]]) -> list[CheckResult]:
+    """Every check at *seed*, over the rows of each :data:`CHECKS` figure."""
+    return [
+        result
+        for name, (_, check) in CHECKS.items()
+        for result in check(seed, rows[name])
+    ]
+
+
 def validate_shapes(
     seeds: tuple[int, ...] = (42, 7, 1234),
     target_ops: int = 30_000,
@@ -131,11 +157,11 @@ def validate_shapes(
     """Run every shape check at every seed; returns the flat result list."""
     out: list[CheckResult] = []
     for seed in seeds:
-        out.extend(_fig8_checks(seed, target_ops))
-        out.extend(_fig9_checks(seed, target_ops))
-        out.extend(_fig4_checks(seed, target_ops))
-        out.extend(_fig12_checks(seed, target_ops))
-        out.extend(_fig13_checks(seed, target_ops))
+        rows = {
+            name: figure_rows(name, target_ops, where, seed=seed)
+            for name, (where, _) in CHECKS.items()
+        }
+        out.extend(shape_checks(seed, rows))
     return out
 
 

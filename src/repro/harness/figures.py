@@ -11,10 +11,15 @@ Each figure the CLI can regenerate is registered here as a
   payload.  Executed inside a supervised worker process (or inline on the
   serial path); it must not depend on any other unit's in-process state.
 * ``assemble(ops, payloads, failed)`` — folds completed unit payloads,
-  in enumeration order, into the exact table text the legacy serial
-  driver printed.  With no failures the text is byte-identical to the
-  pre-harness output; failed units simply drop their rows (the
-  supervisor appends the ``DEGRADED`` annotation).
+  keyed ``(figure, unit_id)`` in enumeration order, into the figure's
+  table text.  Failed units simply drop their rows (the supervisor
+  appends the ``DEGRADED`` annotation).
+
+A unit belongs to the figure named in :attr:`RunUnit.figure`, which need
+not be the figure listing it: ``report`` lists the fig1/2/4/8/10/12/13
+units it renders, so a run of both runs each shared unit once.  Each
+sweep has this one definition; :func:`figure_rows` runs a figure's units
+inline for tests, benchmarks and the shape validation.
 
 Baseline deduplication: units obtain their no-persistence baselines via
 :func:`repro.harness.cache.vanilla_cycles_cached`, so the same (trace,
@@ -44,6 +49,7 @@ from repro.experiments.runner import (
     run_mechanism,
     scaled_interval_cycles,
 )
+from repro.harness import cache as cache_mod
 from repro.harness.cache import vanilla_cycles_cached
 from repro.harness.errors import TransientWorkloadError
 from repro.persistence.dirtybit import DirtyBitPersistence
@@ -81,7 +87,7 @@ class FigureSpec:
     name: str
     enumerate_units: Callable[[int], list[RunUnit]]
     execute: Callable[[dict], dict]
-    assemble: Callable[[int, dict[str, dict], list[str]], FigureOutput]
+    assemble: Callable[[int, dict[tuple[str, str], dict], list[str]], FigureOutput]
 
 
 FIGURES: dict[str, FigureSpec] = {}
@@ -183,12 +189,60 @@ def _overhead_trace(name: str, ops: int, seed: int = 42):
     return _app_trace(name, ops, seed)
 
 
-def _rows(payloads: dict[str, dict]) -> list[dict]:
+def _rows(payloads: dict) -> list[dict]:
     """Concatenate unit payload rows in enumeration (payload) order."""
     out: list[dict] = []
     for payload in payloads.values():
         out.extend(payload.get("rows", ()))
     return out
+
+
+def figure_units(
+    name: str,
+    ops: int,
+    where: Callable[[RunUnit], bool] | None = None,
+    **params,
+) -> list[RunUnit]:
+    """*name*'s units at *ops* that *where* accepts, with *params* replacing
+    the values of existing param keys; an unknown key raises ``KeyError``."""
+    units = []
+    for unit in FIGURES[name].enumerate_units(ops):
+        if where is not None and not where(unit):
+            continue
+        unknown = params.keys() - unit.params.keys()
+        if unknown:
+            raise KeyError(f"{name}/{unit.unit_id} has no param {sorted(unknown)}")
+        units.append(RunUnit(unit.figure, unit.unit_id, {**unit.params, **params}))
+    return units
+
+
+def run_inline(units: list[RunUnit]) -> dict[tuple[str, str], dict]:
+    """Execute *units* in this process, in order, keyed ``(figure, unit_id)``.
+
+    Without an active result cache one is opened for the call, so units
+    of one trace share its baseline as they do under the supervisor.
+    """
+    outer = cache_mod.active_cache()
+    if outer is None:
+        cache_mod.activate(cache_mod.ResultCache())
+    try:
+        return {
+            (unit.figure, unit.unit_id): FIGURES[unit.figure].execute(unit.params)
+            for unit in units
+        }
+    finally:
+        if outer is None:
+            cache_mod.activate(None)
+
+
+def figure_rows(
+    name: str,
+    ops: int,
+    where: Callable[[RunUnit], bool] | None = None,
+    **params,
+) -> list[dict]:
+    """The rows of *name*'s sweep at *ops*, run inline: see :func:`figure_units`."""
+    return _rows(run_inline(figure_units(name, ops, where, **params)))
 
 
 # --------------------------------------------------------------------- #
@@ -306,7 +360,7 @@ def _fig3_execute(params: dict) -> dict:
     trace = motivation.stack_only(full_trace)
     base = vanilla_cycles_cached(trace)
     num_intervals = params["num_intervals"]
-    interval_ops = max(1, len(trace.ops) // num_intervals)
+    interval_ops = max(1, len(trace) // num_intervals)
     finals = trace.final_sp_per_interval(num_intervals)
 
     def oracle(i: int, _finals=finals) -> int:
@@ -987,18 +1041,20 @@ def _endurance_assemble(ops: int, payloads: dict, failed: list[str]) -> FigureOu
 
 
 def _report_units(ops: int) -> list[RunUnit]:
-    return [RunUnit("report", "report", {"ops": ops})]
+    from repro.experiments.report_gen import report_units
+
+    return report_units(ops)
 
 
 def _report_execute(params: dict) -> dict:
-    from repro.experiments.report_gen import generate_report
-
-    return {"text": generate_report(ops=params["ops"])}
+    """A shape-validation unit: another figure's unit at its own seed and ops."""
+    return FIGURES[params["figure"]].execute(params["params"])
 
 
 def _report_assemble(ops: int, payloads: dict, failed: list[str]) -> FigureOutput:
-    texts = [p["text"] for p in payloads.values() if "text" in p]
-    return FigureOutput("\n".join(texts))
+    from repro.experiments.report_gen import render_report
+
+    return FigureOutput(render_report(ops, payloads))
 
 
 # --------------------------------------------------------------------- #

@@ -10,29 +10,40 @@ byte-identical to an uninterrupted run.
 
 Record types::
 
-    {"type": "meta", "version": 1, "ops": N, "figures": [...]}
+    {"type": "meta", "version": 1, "ops": N, "figures": [...],
+     "repro_version": "x.y.z", "units_digest": "<sha256>"}
     {"type": "unit", "figure": ..., "unit_id": ..., "status": "ok"|"failed",
      "attempts": n, "elapsed_s": t, "payload": {...} | null,
      "failure": {"kind", "severity", "detail", "attempts"} | null}
 
 Later records for the same (figure, unit_id) supersede earlier ones, so a
 resumed run simply appends; the journal never needs rewriting in place.
-A meta mismatch (different ``--ops`` or figure set) aborts the resume
-rather than silently blending incompatible results.
+A meta mismatch (different ``--ops``, figure set, package version, or
+enumerated ``(figure, unit_id, params)`` list) aborts the resume rather
+than silently blending incompatible results.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
+
+import repro
 
 JOURNAL_VERSION = 1
 
 
 class ManifestMismatch(RuntimeError):
     """The manifest on disk was written by an incompatible invocation."""
+
+
+def units_digest(units) -> str:
+    """SHA-256 over the enumerated ``(figure, unit_id, params)`` list."""
+    listing = [[u.figure, u.unit_id, u.params] for u in units]
+    return hashlib.sha256(json.dumps(listing, sort_keys=True).encode()).hexdigest()
 
 
 @dataclass
@@ -123,13 +134,15 @@ class RunJournal:
         self._handle.flush()
         os.fsync(self._handle.fileno())
 
-    def write_meta(self, ops: int, figures: list[str]) -> None:
+    def write_meta(self, ops: int, figures: list[str], digest: str = "") -> None:
         self._append(
             {
                 "type": "meta",
                 "version": JOURNAL_VERSION,
                 "ops": ops,
                 "figures": list(figures),
+                "repro_version": repro.__version__,
+                "units_digest": digest,
             }
         )
 
@@ -143,7 +156,9 @@ class RunJournal:
             pass
 
     @staticmethod
-    def check_meta(state: ManifestState, ops: int, figures: list[str]) -> None:
+    def check_meta(
+        state: ManifestState, ops: int, figures: list[str], digest: str = ""
+    ) -> None:
         """Refuse to resume against a manifest from a different invocation."""
         if state.meta is None:
             raise ManifestMismatch(
@@ -158,4 +173,14 @@ class RunJournal:
             raise ManifestMismatch(
                 "manifest covers a different figure set "
                 f"({state.meta.get('figures')} vs {list(figures)})"
+            )
+        if state.meta.get("repro_version") != repro.__version__:
+            raise ManifestMismatch(
+                f"manifest was written by repro {state.meta.get('repro_version')}, "
+                f"this is repro {repro.__version__}"
+            )
+        if state.meta.get("units_digest", "") != digest:
+            raise ManifestMismatch(
+                "manifest was written for a different set of run units "
+                "(figure definitions changed since)"
             )

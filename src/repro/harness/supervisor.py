@@ -13,6 +13,10 @@ declared in :mod:`repro.harness.figures`:
   accounted for, and hand finished figures to the caller **in figure
   order** regardless of unit completion order.
 
+Units are keyed ``(unit.figure, unit.unit_id)``: a unit listed by two
+requested figures (``report`` lists the figure units it renders) runs
+once, and if it fails, every figure listing it is degraded.
+
 Failure handling is graceful degradation: a figure whose units partially
 failed still renders its completed rows, followed by a
 ``DEGRADED (k/n runs failed: ...)`` annotation.  A ``KeyboardInterrupt``
@@ -38,7 +42,7 @@ from repro.harness.errors import (
     should_retry,
 )
 from repro.harness.figures import FIGURES, RunUnit, execute_unit
-from repro.harness.journal import RunJournal, UnitRecord, load_manifest
+from repro.harness.journal import RunJournal, UnitRecord, load_manifest, units_digest
 from repro.harness.pool import UnitOutcome, WorkerPool
 
 
@@ -100,14 +104,15 @@ def run_figures(
         name: FIGURES[name].enumerate_units(opts.ops) for name in names
     }
 
-    journal, replayed = _open_journal(names, opts)
+    journal, replayed = _open_journal(names, opts, units_by_figure)
     results: dict[tuple[str, str], UnitOutcome] = dict(replayed)
-    to_run = [
-        unit
+    # A unit listed by several requested figures runs once.
+    pending = {
+        (unit.figure, unit.unit_id): unit
         for name in names
         for unit in units_by_figure[name]
-        if (name, unit.unit_id) not in results
-    ]
+    }
+    to_run = [unit for key, unit in pending.items() if key not in results]
 
     outcomes: list[FigureOutcome] = []
     emitted = 0  # figures delivered so far (prefix of *names*)
@@ -117,7 +122,7 @@ def run_figures(
         while emitted < len(names):
             name = names[emitted]
             units = units_by_figure[name]
-            done = sum(1 for u in units if (name, u.unit_id) in results)
+            done = sum(1 for u in units if (u.figure, u.unit_id) in results)
             if done < len(units) and not interrupted:
                 return
             if interrupted and done == 0:
@@ -189,18 +194,21 @@ def run_figures(
 
 
 def _open_journal(
-    names: list[str], opts: HarnessOptions
+    names: list[str],
+    opts: HarnessOptions,
+    units_by_figure: dict[str, list[RunUnit]],
 ) -> tuple[RunJournal | None, dict[tuple[str, str], UnitOutcome]]:
     """Open the manifest journal and collect replayable unit outcomes."""
     if opts.manifest_path is None:
         return None, {}
+    digest = units_digest([unit for name in names for unit in units_by_figure[name]])
     path = Path(opts.manifest_path)
     replayed: dict[tuple[str, str], UnitOutcome] = {}
     had_meta = False
     if opts.resume:
         state = load_manifest(path)
         if state.meta is not None:
-            RunJournal.check_meta(state, opts.ops, names)
+            RunJournal.check_meta(state, opts.ops, names, digest)
             had_meta = True
             # Units journaled ok replay from their stored payloads;
             # failed and missing units re-execute.
@@ -217,7 +225,7 @@ def _open_journal(
         path.unlink(missing_ok=True)
     journal = RunJournal(path)
     if not had_meta:
-        journal.write_meta(opts.ops, names)
+        journal.write_meta(opts.ops, names, digest)
     return journal, replayed
 
 
@@ -285,14 +293,15 @@ def _assemble_figure(
     interrupted: bool = False,
 ) -> FigureOutcome:
     """Fold unit payloads (in enumeration order) into the figure's text."""
-    payloads: dict[str, dict] = {}
+    payloads: dict[tuple[str, str], dict] = {}
     failures: list[UnitFailure] = []
     for unit in units:
-        outcome = results.get((name, unit.unit_id))
+        key = (unit.figure, unit.unit_id)
+        outcome = results.get(key)
         if outcome is None:
             continue  # interrupted before this unit ran
         if outcome.ok:
-            payloads[unit.unit_id] = outcome.payload or {}
+            payloads[key] = outcome.payload or {}
         elif outcome.failure is not None:
             failures.append(outcome.failure)
     output = FIGURES[name].assemble(

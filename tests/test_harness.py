@@ -9,12 +9,14 @@ kill-then-resume byte-identical reassembly.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import signal
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -36,6 +38,8 @@ from repro.harness.figures import (
     FigureSpec,
     RunUnit,
     figure_names,
+    figure_rows,
+    figure_units,
     register,
 )
 from repro.harness.journal import (
@@ -99,12 +103,22 @@ class TestFigureRegistry:
         )
 
     def test_unit_ids_are_stable_and_unique(self):
+        # A unit is identified by (figure, unit_id): ``report`` lists
+        # units of several figures, whose ids may coincide.
         for name, spec in FIGURES.items():
             units = spec.enumerate_units(2000)
-            ids = [u.unit_id for u in units]
+            ids = [(u.figure, u.unit_id) for u in units]
             assert len(ids) == len(set(ids)), f"{name}: duplicate unit ids"
-            again = [u.unit_id for u in spec.enumerate_units(2000)]
+            again = [(u.figure, u.unit_id) for u in spec.enumerate_units(2000)]
             assert ids == again, f"{name}: unstable enumeration"
+
+    def test_listed_units_of_other_figures_are_their_own(self):
+        for name, spec in FIGURES.items():
+            for unit in spec.enumerate_units(2000):
+                if unit.figure != name:
+                    assert unit in FIGURES[unit.figure].enumerate_units(2000), (
+                        f"{name} lists {unit.figure}/{unit.unit_id} with other params"
+                    )
 
     def test_unit_params_are_json_serializable(self):
         for spec in FIGURES.values():
@@ -114,6 +128,17 @@ class TestFigureRegistry:
     def test_fig8_decomposes_per_trace_and_mechanism(self):
         units = FIGURES["fig8"].enumerate_units(2000)
         assert len(units) == 3 * 6  # 3 apps x 6 mechanisms
+
+    def test_figure_rows_filters_and_overrides(self):
+        rows = figure_rows("fig2", 2000, where=lambda u: u.unit_id == "ycsb_mem")
+        assert [r["workload"] for r in rows] == ["ycsb_mem"]
+        (unit,) = figure_units("fig2", 2000, lambda u: u.unit_id == "ycsb_mem", seed=7)
+        assert unit.params["seed"] == 7
+        assert unit.params["ops"] == 2000
+
+    def test_figure_units_rejects_unknown_param(self):
+        with pytest.raises(KeyError):
+            figure_units("fig1", 2000, num_intervals=10)
 
 
 # --------------------------------------------------------------------- #
@@ -161,6 +186,19 @@ class TestJournal:
         with pytest.raises(ManifestMismatch):
             RunJournal.check_meta(state, 2000, ["fig1", "fig2"])
         RunJournal.check_meta(state, 2000, ["fig1"])  # exact match is fine
+
+    def test_version_and_unit_digest_mismatch_refuse_resume(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        journal = RunJournal(path)
+        journal.write_meta(2000, ["fig1"], "digest-a")
+        journal.close()
+        state = load_manifest(path)
+        RunJournal.check_meta(state, 2000, ["fig1"], "digest-a")
+        with pytest.raises(ManifestMismatch):
+            RunJournal.check_meta(state, 2000, ["fig1"], "digest-b")
+        state.meta["repro_version"] = "0.0.0"
+        with pytest.raises(ManifestMismatch):
+            RunJournal.check_meta(state, 2000, ["fig1"], "digest-a")
 
 
 # --------------------------------------------------------------------- #
@@ -359,6 +397,87 @@ class TestSupervisor:
                 ["fig1"],
                 HarnessOptions(ops=4000, manifest_path=manifest, resume=True),
             )
+
+
+    def test_resume_refuses_altered_unit_set(self, tmp_path, monkeypatch):
+        from repro.cli import main
+
+        manifest = tmp_path / "run.jsonl"
+        run_figures(["fig1"], HarnessOptions(ops=2000, manifest_path=manifest))
+        spec = FIGURES["fig1"]
+        monkeypatch.setitem(
+            FIGURES,
+            "fig1",
+            dataclasses.replace(
+                spec, enumerate_units=lambda ops: spec.enumerate_units(ops)[:2]
+            ),
+        )
+        with pytest.raises(ManifestMismatch):
+            run_figures(
+                ["fig1"],
+                HarnessOptions(ops=2000, manifest_path=manifest, resume=True),
+            )
+        args = ["fig1", "--ops", "2000", "--manifest", str(manifest), "--resume"]
+        assert main(args) == 2
+
+
+# --------------------------------------------------------------------- #
+# Units shared between figures (report lists the figure units it renders)
+# --------------------------------------------------------------------- #
+
+
+@pytest.fixture
+def quick_report(monkeypatch):
+    """Run the report's shape validation at the report's own ops, so a
+    report at --ops 2000 takes seconds; sharing does not depend on it."""
+    from repro.experiments import report_gen
+
+    monkeypatch.setattr(report_gen, "_validation_ops", lambda ops: ops)
+
+
+def _without_generated(text: str) -> list[str]:
+    return [line for line in text.splitlines() if not line.startswith("Generated ")]
+
+
+class TestSharedUnits:
+    def test_each_unit_runs_once(self, quick_report, monkeypatch):
+        import repro.harness.supervisor as supervisor
+
+        calls: Counter = Counter()
+        original = supervisor.execute_unit
+
+        def counting(figure, params, attempt=0, unit_id=""):
+            calls[figure, unit_id] += 1
+            return original(figure, params, attempt=attempt, unit_id=unit_id)
+
+        monkeypatch.setattr(supervisor, "execute_unit", counting)
+        fig8, report = run_figures(["fig8", "report"], HarnessOptions(ops=2000))
+        assert fig8.ok and report.ok
+        listed = {
+            (u.figure, u.unit_id)
+            for name in ("fig8", "report")
+            for u in FIGURES[name].enumerate_units(2000)
+        }
+        assert set(calls) == listed
+        assert set(calls.values()) == {1}
+
+    def test_shared_report_matches_report_alone(self, quick_report):
+        _, shared = run_figures(["fig8", "report"], HarnessOptions(ops=2000))
+        (alone,) = run_figures(["report"], HarnessOptions(ops=2000))
+        assert _without_generated(shared.text) == _without_generated(alone.text)
+
+    def test_failed_shared_unit_degrades_report(self, quick_report, monkeypatch):
+        monkeypatch.setenv("REPRO_HARNESS_FAULTS", "fig8/gapbs_pr/romulus=raise")
+        fig8, report = run_figures(["fig8", "report"], HarnessOptions(ops=2000))
+        for outcome in (fig8, report):
+            assert not outcome.ok
+            assert f"DEGRADED (1/{outcome.units_total} runs failed" in outcome.text
+            assert "gapbs_pr/romulus" in outcome.text
+        fig8_section = report.text.split("## Figure 8")[1].split("## ")[0]
+        gapbs = next(
+            line for line in fig8_section.splitlines() if line.startswith("| gapbs_pr |")
+        )
+        assert "| - |" in gapbs  # the failed cell
 
 
 # --------------------------------------------------------------------- #
