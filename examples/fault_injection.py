@@ -4,42 +4,53 @@
 Extends examples/crash_recovery.py from two hand-picked crashes to
 systematic validation (docs/FAULTS.md):
 
-1. a seeded crash-point sweep runs a deterministic two-thread checkpoint
-   workload, crashes at *every* point of the staging/commit protocol —
-   metadata write, each per-run staging copy, commit flag, persist
-   barrier, bitmap clear — recovers, and checks that the restored state
-   (registers and stack bytes) is exactly one whole checkpoint, never a
-   blend;
-2. a torn-write demo silently corrupts a checkpoint's metadata record,
+1. the exhaustive sweep runs a deterministic two-thread kernel checkpoint
+   workload, crashes at *every* point it reaches — context switches, the
+   checkpoint barrier, the metadata write, each per-run staging copy,
+   commit flag, persist barrier, bitmap clear — recovers, and checks that
+   the restored state (registers and stack bytes) is exactly one whole
+   checkpoint, never a blend;
+2. a seeded campaign over the same kernel path additionally samples which
+   pending NVM writes survived each crash (dropped or torn);
+3. a torn-write demo silently corrupts a checkpoint's metadata record,
    crashes mid-commit, and shows the CRC32 check discarding the staged
    data instead of trusting its completeness.
 
 Run:  python examples/fault_injection.py
 """
 
-from repro.faults.sweep import (
-    CrashConsistencyChecker,
-    torn_metadata_demo,
-    transient_retry_demo,
-)
+from collections import Counter
+
+from repro.faults.fuzzer import FuzzConfig, KernelTarget, run_campaign
+from repro.faults.sweep import run_sweep, torn_metadata_demo, transient_retry_demo
 
 
 def main() -> None:
     # --- 1. the sweep: crash everywhere, recover everywhere -------------
-    checker = CrashConsistencyChecker(
-        seed=0, threads=2, intervals=3, writes_per_interval=4
+    outcomes, violations = run_sweep(
+        KernelTarget(cores=1, threads=2, intervals=3, writes=4)
     )
-    report = checker.run()
-    counts = report.outcome_counts()
+    counts = Counter(outcome.classification for outcome in outcomes)
+    points = {outcome.spec.point for outcome in outcomes}
     print(
-        f"sweep: {len(report.cases)} crashes over {report.points_swept} "
-        f"distinct points, {len(report.violations)} invariant violations"
+        f"sweep: {len(outcomes)} crashes over {len(points)} "
+        f"distinct points, {len(violations)} invariant violations"
     )
     for outcome in ("rolled_forward", "previous", "fresh_start"):
         print(f"  {outcome:>14}: {counts.get(outcome, 0)} recoveries")
-    assert report.ok, report.violations
+    assert not violations, violations
 
-    # --- 2. transient NVM write errors: retry, recover, account --------
+    # --- 2. sampled persist orders on the kernel path -------------------
+    report = run_campaign(
+        FuzzConfig(seed=0, budget=64, mechanisms=("kernel", "multicore"), intervals=3)
+    )
+    print(
+        f"\ncampaign: {report['schedules']} crashes with sampled dropped/torn "
+        f"pending writes, {len(report['violations'])} invariant violations"
+    )
+    assert report["ok"], report["violations"]
+
+    # --- 3. transient NVM write errors: retry, recover, account --------
     retry = transient_retry_demo(seed=0)
     print(
         f"\ntransient errors: {retry.checkpoints} checkpoints took "
@@ -48,7 +59,7 @@ def main() -> None:
     )
     assert retry.retries > 0 and retry.state_ok
 
-    # --- 3. a torn metadata record, caught by its checksum --------------
+    # --- 4. a torn metadata record, caught by its checksum --------------
     torn = torn_metadata_demo(seed=0)
     print(
         f"\ntorn metadata: staging was complete but the record's CRC failed "

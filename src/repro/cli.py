@@ -11,7 +11,7 @@ Usage::
     python -m repro fig10 --out results/ # also write the table to a file
     python -m repro faults sweep         # crash-consistency sweep (fault injection)
     python -m repro faults fuzz --budget 256     # crash-schedule fuzzing (persist order)
-    python -m repro faults sweep --multicore     # ctx-switch / barrier crash points
+    python -m repro faults sweep --cores 2       # multicore: more ctx-switch / barrier points
 
 Figures are decomposed into independent run units and executed by the
 harness (:mod:`repro.harness`): ``--jobs 1`` (the default) runs them
@@ -25,7 +25,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections import defaultdict
+from collections import Counter
 from pathlib import Path
 from typing import Callable
 
@@ -64,39 +64,52 @@ COMMANDS: dict[str, Callable[[int], str]] = {
 }
 
 
-def _render_sweep_report(report, title: str) -> tuple[str, list[str]]:
-    """Shared rendering for the single-core and multicore crash sweeps."""
-    order: list[str] = []
-    per_point: dict[str, dict[str, int]] = {}
-    for case in report.cases:
-        if case.point not in per_point:
-            per_point[case.point] = defaultdict(int)
-            order.append(case.point)
-        per_point[case.point][case.outcome] += 1
-    table = render_table(
+#: Report columns: (header, ScheduleOutcome classification).
+_CLASSIFICATION_COLUMNS = (
+    ("rolled fwd", "rolled_forward"),
+    ("previous", "previous"),
+    ("fresh", "fresh_start"),
+    ("no crash", "no_crash"),
+    ("violations", "violation"),
+)
+
+
+def _print_outcomes(title: str, keys: list[str], rows, violations) -> None:
+    """The one renderer of both fault commands: classification counts per
+    row (*rows* pairs key cells with a classification count dict), the
+    violation total, then every violation with its minimal persist plan
+    and reproducer line when it has them."""
+    print(render_table(
         title,
-        ["crash point", "cases", "rolled fwd", "previous", "fresh", "violations"],
+        [*keys, "schedules", *(header for header, _ in _CLASSIFICATION_COLUMNS)],
         [
-            [
-                point,
-                sum(per_point[point].values()),
-                per_point[point]["rolled_forward"],
-                per_point[point]["previous"],
-                per_point[point]["fresh_start"],
-                per_point[point]["violation"],
-            ]
-            for point in order
+            [*cells, sum(counts.values()),
+             *(counts.get(name, 0) for _, name in _CLASSIFICATION_COLUMNS)]
+            for cells, counts in rows
         ],
-    )
-    lines = [
-        f"  VIOLATION at {case.point}#{case.occurrence} "
-        f"(interval {case.crashed_in_interval}): {case.detail}"
-        for case in report.violations
-    ]
-    return table, lines
+    ))
+    total = sum(sum(counts.values()) for _, counts in rows)
+    print(f"\n{total} schedules: {len(violations)} invariant violation(s)")
+    for violation in violations:
+        crash = violation["crash"]
+        where = (
+            f"cycle {crash['cycle']}"
+            if crash["kind"] == "cycle"
+            else f"{crash['point']}#{crash['occurrence']}"
+        )
+        print(
+            f"  VIOLATION {violation['mechanism']}/{violation['engine']} "
+            f"schedule {violation['index']} at {where}: {violation['detail']}"
+        )
+        if violation.get("shrunk_plan") is not None:
+            print(f"    minimal plan: {violation['shrunk_plan']}")
+        if "repro" in violation:
+            print(f"    reproduce: {violation['repro']}")
 
 
 def build_faults_parser() -> argparse.ArgumentParser:
+    from repro.faults.fuzzer import CONTENT_MECHANISMS, ENGINES, TARGETS
+
     parser = argparse.ArgumentParser(
         prog="repro faults",
         description="Fault injection: crash-point sweep with verified "
@@ -105,10 +118,13 @@ def build_faults_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="action", required=True)
     sweep = sub.add_parser(
         "sweep",
-        help="crash at every enumerated point, recover, verify the invariant",
+        help="crash the kernel path at every enumerated point, recover, "
+        "verify the invariant",
     )
     sweep.add_argument("--seed", type=int, default=0, help="workload seed")
-    sweep.add_argument("--threads", type=int, default=2)
+    sweep.add_argument(
+        "--threads", type=int, default=2, help="persistent threads per core"
+    )
     sweep.add_argument("--intervals", type=int, default=3)
     sweep.add_argument(
         "--writes", type=int, default=4, help="dirty clusters per thread per interval"
@@ -125,13 +141,11 @@ def build_faults_parser() -> argparse.ArgumentParser:
         help="skip the transient-retry and torn-metadata demos",
     )
     sweep.add_argument(
-        "--multicore",
-        action="store_true",
-        help="also sweep crash points in context-switch tracker save/restore "
-        "and the multicore checkpoint barrier",
-    )
-    sweep.add_argument(
-        "--cores", type=int, default=2, help="cores for the --multicore sweep"
+        "--cores",
+        type=int,
+        default=1,
+        help="cores of the swept machine; every core adds context-switch "
+        "and checkpoint-barrier crash points",
     )
 
     fuzz = sub.add_parser(
@@ -149,13 +163,14 @@ def build_faults_parser() -> argparse.ArgumentParser:
     fuzz.add_argument(
         "--mechanism",
         action="append",
-        choices=["prosper", "dirtybit", "ssp", "flush", "undo", "redo"],
-        help="mechanism(s) to fuzz (repeatable; default: prosper, dirtybit)",
+        choices=TARGETS,
+        help="mechanism(s) or kernel target(s) to fuzz (repeatable; default: "
+        f"{', '.join(CONTENT_MECHANISMS)})",
     )
     fuzz.add_argument(
         "--engine",
         action="append",
-        choices=["scalar", "batched"],
+        choices=ENGINES,
         help="execution engine(s) to fuzz (repeatable; default: both)",
     )
     fuzz.add_argument("--ops", type=int, default=1200, help="trace length")
@@ -188,14 +203,14 @@ def build_faults_parser() -> argparse.ArgumentParser:
 def _faults_fuzz_main(args) -> int:
     import json
 
-    from repro.faults.fuzzer import FuzzConfig, run_campaign
+    from repro.faults.fuzzer import CONTENT_MECHANISMS, ENGINES, FuzzConfig, run_campaign
 
     try:
         config = FuzzConfig(
             seed=args.seed,
             budget=args.budget,
-            mechanisms=tuple(args.mechanism or ("prosper", "dirtybit")),
-            engines=tuple(args.engine or ("scalar", "batched")),
+            mechanisms=tuple(args.mechanism or CONTENT_MECHANISMS),
+            engines=tuple(args.engine or ENGINES),
             ops=args.ops,
             intervals=args.intervals,
             weaken=args.weaken,
@@ -207,48 +222,17 @@ def _faults_fuzz_main(args) -> int:
         print(f"repro faults fuzz: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    def cell(counts: dict, key: str) -> int:
-        return counts.get(key, 0)
-
-    print(render_table(
+    _print_outcomes(
         f"Crash-schedule fuzz campaign (seed {report['seed']}, "
         f"{report['schedules']} schedules, {report['ops']} ops x "
         f"{report['intervals']} intervals)",
-        ["mechanism", "engine", "schedules", "rolled fwd", "previous",
-         "fresh", "no crash", "violations"],
+        ["mechanism", "engine"],
         [
-            [
-                combo["mechanism"],
-                combo["engine"],
-                combo["schedules"],
-                cell(combo["classifications"], "rolled_forward"),
-                cell(combo["classifications"], "previous"),
-                cell(combo["classifications"], "fresh_start"),
-                cell(combo["classifications"], "no_crash"),
-                cell(combo["classifications"], "violation"),
-            ]
+            ([combo["mechanism"], combo["engine"]], combo["classifications"])
             for combo in report["combos"]
         ],
-    ))
-    print(
-        f"\n{report['schedules']} schedules: "
-        f"{len(report['violations'])} oracle violation(s)"
+        report["violations"],
     )
-    for violation in report["violations"]:
-        crash = violation["crash"]
-        where = (
-            f"cycle {crash['cycle']}"
-            if crash["kind"] == "cycle"
-            else f"{crash['point']}#{crash['occurrence']}"
-        )
-        print(
-            f"  VIOLATION {violation['mechanism']}/{violation['engine']} "
-            f"schedule {violation['index']} at {where}: {violation['detail']}"
-        )
-        if violation.get("shrunk_plan") is not None:
-            print(f"    minimal plan: {violation['shrunk_plan']}")
-        print(f"    reproduce: {violation['repro']}")
-
     if args.report is not None:
         args.report.parent.mkdir(parents=True, exist_ok=True)
         args.report.write_text(json.dumps(report, indent=2) + "\n")
@@ -258,66 +242,37 @@ def _faults_fuzz_main(args) -> int:
 
 
 def _faults_main(argv: list[str]) -> int:
-    from repro.faults.sweep import (
-        CrashConsistencyChecker,
-        torn_metadata_demo,
-        transient_retry_demo,
-    )
+    from repro.faults.fuzzer import KernelTarget
+    from repro.faults.sweep import run_sweep, torn_metadata_demo, transient_retry_demo
 
     args = build_faults_parser().parse_args(argv)
     if args.action == "fuzz":
         return _faults_fuzz_main(args)
     try:
-        checker = CrashConsistencyChecker(
-            seed=args.seed,
+        target = KernelTarget(
+            cores=args.cores,
             threads=args.threads,
             intervals=args.intervals,
-            writes_per_interval=args.writes,
+            writes=args.writes,
+            seed=args.seed,
             transient_rate=args.transient_rate,
         )
     except ValueError as exc:
         print(f"repro faults sweep: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    report = checker.run()
-    table, violation_lines = _render_sweep_report(
-        report,
-        f"Crash-consistency sweep (seed {report.seed}, "
-        f"{report.threads} threads, {report.intervals} intervals)",
+    outcomes, violations = run_sweep(target)
+    per_point: dict[str, Counter] = {}
+    for outcome in outcomes:
+        per_point.setdefault(outcome.spec.point, Counter())[outcome.classification] += 1
+    _print_outcomes(
+        f"Crash-consistency sweep (seed {target.seed}, {target.cores} core(s) "
+        f"x {target.threads} threads, {target.intervals} intervals)",
+        ["crash point"],
+        [([point], counts) for point, counts in per_point.items()],
+        violations,
     )
-    print(table)
-    print(
-        f"\n{len(report.cases)} cases over {report.points_swept} crash points: "
-        f"{len(report.violations)} invariant violation(s)"
-    )
-    for line in violation_lines:
-        print(line)
 
-    failed = not report.ok
-    if args.multicore:
-        from repro.faults.multicore_sweep import MulticoreCrashChecker
-
-        mc_checker = MulticoreCrashChecker(
-            seed=args.seed,
-            cores=args.cores,
-            intervals=args.intervals,
-            writes_per_interval=args.writes,
-        )
-        mc_report = mc_checker.run()
-        mc_table, mc_lines = _render_sweep_report(
-            mc_report,
-            f"Multicore crash sweep (seed {mc_report.seed}, "
-            f"{mc_report.cores} cores, {mc_report.intervals} intervals)",
-        )
-        print()
-        print(mc_table)
-        print(
-            f"\n{len(mc_report.cases)} cases over {mc_report.points_swept} "
-            f"crash points: {len(mc_report.violations)} invariant violation(s)"
-        )
-        for line in mc_lines:
-            print(line)
-        failed = failed or not mc_report.ok
-
+    failed = bool(violations)
     if not args.no_demos:
         retry = transient_retry_demo(seed=args.seed, threads=args.threads)
         print(render_table(

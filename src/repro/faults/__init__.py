@@ -1,6 +1,6 @@
 """Fault injection and crash-consistency verification.
 
-Three cooperating layers (see ``docs/FAULTS.md``):
+Cooperating layers (see ``docs/FAULTS.md``):
 
 * :mod:`repro.faults.injector` — named crash points threaded through the
   checkpoint pipeline, armed deterministically per (point, occurrence);
@@ -10,11 +10,15 @@ Three cooperating layers (see ``docs/FAULTS.md``):
 * :mod:`repro.faults.order` — the persist-order oracle: pending durable
   writes become guaranteed-durable only at a flush/commit barrier, and a
   crash may persist any subset of the pending set (torn tail optional);
-* :mod:`repro.faults.sweep` — the crash-consistency sweep harness that
-  crashes at every enumerated point and asserts the recovery invariant;
-* :mod:`repro.faults.fuzzer` — seeded crash-schedule campaigns over
-  arbitrary-cycle crashes x sampled persist orders, verified against a
-  golden-image recovery oracle and shrunk on violation.
+* :mod:`repro.faults.fuzzer` — the one crash driver: a schedule loop
+  (probe, crash, resolve the persist plan, recover, verify, classify,
+  shrink) over engine targets (one execution engine plus mechanism,
+  judged by a golden image) and kernel targets (the OS checkpoint path
+  on one or more cores, judged by per-thread register and stack
+  snapshots), fed by seeded sampling;
+* :mod:`repro.faults.sweep` — the loop's exhaustive mode: every named
+  crash point x occurrence under the neat plan, plus targeted
+  transient-error and torn-metadata recovery demos.
 
 ``sweep`` and ``fuzzer`` are intentionally *not* imported here: they pull
 in the kernel/engine layers, which in turn reach back down to

@@ -22,8 +22,8 @@ A crash fires by raising :class:`CrashInjected`; the durable ("NVM") state
 at that moment — checkpoint records, staging buffers — is left exactly as
 written so far, and the harness then drops volatile state and drives
 recovery.  An un-armed injector only records which points fired (the probe
-pass :class:`repro.faults.sweep.CrashConsistencyChecker` uses to enumerate
-the sweep).
+pass the crash driver, :mod:`repro.faults.fuzzer`, samples or enumerates
+crash specs from).
 """
 
 from __future__ import annotations

@@ -1,13 +1,13 @@
-"""Crash-consistency sweep: crash at *every* point, verify recovery.
+"""Exhaustive mode of the crash driver, plus two targeted recovery demos.
 
-The paper's validation kills gem5 at a few hand-picked moments.  This
-harness is systematic: a probe pass runs a deterministic multi-threaded
-checkpoint workload with an unarmed :class:`FaultInjector` and records
-every crash point that fires — ``stage_run_copy[i]`` per dirty run per
-thread per interval, the per-thread stage/commit points, the per-process
-metadata and commit-flag writes.  The sweep then re-runs the identical
-workload once per (point, occurrence), crashing there, driving the
-recovery path, and checking the crash-consistency invariant:
+The paper's validation kills gem5 at a few hand-picked moments.  The sweep
+is systematic: a probe pass runs the target with an unarmed
+:class:`FaultInjector` and records every crash point that fires, and the
+driver's schedule loop (:func:`repro.faults.fuzzer.run_schedules`) then
+crashes once per (point, occurrence) under the neat persist plan — every
+write issued before the crash landed — recovers, and checks the target's
+invariant.  For the kernel target (:class:`~repro.faults.fuzzer.KernelTarget`)
+that is:
 
     After recovery, the process state (registers *and* stack contents,
     DRAM and NVM images alike) equals exactly one of
@@ -16,90 +16,39 @@ recovery path, and checking the crash-consistency invariant:
     * the previous committed checkpoint (staging discarded), or
     * the pristine initial state, only if nothing had ever committed —
 
-    and never a blend of two checkpoints or of two threads' epochs.
+    and never a blend of two checkpoints or of two threads' epochs.  A
+    crash inside a context switch, between checkpoints, must restore the
+    latest committed checkpoint exactly.
 
 Every run derives from one seed, so a violation is exactly reproducible
 by re-arming the same (point, occurrence).  An optional transient NVM
 write-error rate exercises the retry path under the same invariant.
-
-This module imports the kernel layer, which reaches back down to
-:mod:`repro.memory.devices`; import it as ``repro.faults.sweep``, not via
-the package root (see ``repro/faults/__init__.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
-from repro.config import setup_i
-from repro.core.tracker import ProsperTracker
+from repro.faults.fuzzer import CrashSpec, KernelScenario, KernelTarget, run_schedules
 from repro.faults.injector import COMMIT_FLAG_WRITE, CrashInjected, FaultInjector
-from repro.faults.nvm_errors import NvmErrorModel
-from repro.kernel.checkpoint_mgr import CheckpointManager
-from repro.kernel.process import Process
-from repro.kernel.restore import CrashSimulator
-from repro.memory.address import AddressRange
-from repro.memory.hierarchy import MemoryHierarchy
-from repro.memory.image import ByteImage
-
-#: Active stack window per thread: SP sits this far below the stack top and
-#: never moves during the sweep workload, so the expected contents are exact.
-ACTIVE_WINDOW_BYTES = 64 * 1024
-#: Byte stride between dirty clusters, large enough that each cluster
-#: coalesces into its own run (so ``stage_run_copy[i]`` fires per run).
-CLUSTER_STRIDE = 4096
-
-#: Sweep-case outcomes.
-OUTCOME_ROLLED_FORWARD = "rolled_forward"
-OUTCOME_PREVIOUS = "previous"
-OUTCOME_FRESH_START = "fresh_start"
-OUTCOME_VIOLATION = "violation"
+from repro.faults.order import PersistPlan
 
 
-@dataclass(frozen=True)
-class SweepCase:
-    """Result of one crash-and-recover run of the sweep."""
-
-    point: str
-    occurrence: int
-    crashed_in_interval: int
-    resumed_from: int | None
-    outcome: str
-    detail: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.outcome != OUTCOME_VIOLATION
-
-
-@dataclass
-class SweepReport:
-    """Aggregate outcome of a full crash-point sweep."""
-
-    seed: int
-    threads: int
-    intervals: int
-    writes_per_interval: int
-    transient_rate: float
-    cases: list[SweepCase] = field(default_factory=list)
-
-    @property
-    def violations(self) -> list[SweepCase]:
-        return [case for case in self.cases if not case.ok]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    @property
-    def points_swept(self) -> int:
-        return len({case.point for case in self.cases})
-
-    def outcome_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for case in self.cases:
-            counts[case.outcome] = counts.get(case.outcome, 0) + 1
-        return counts
+def run_sweep(target):
+    """Crash *target* once at every (point, occurrence) its probe fired,
+    in first-fired order, under the neat plan.  Returns the schedule
+    loop's ``(outcomes, violations)``."""
+    _, fired = target.probe()
+    counts = Counter(fired)
+    specs = [
+        CrashSpec("point", point=point, occurrence=occurrence)
+        for point in counts
+        for occurrence in range(counts[point])
+    ]
+    return run_schedules(
+        target, ((i, spec, None, PersistPlan()) for i, spec in enumerate(specs))
+    )
 
 
 @dataclass(frozen=True)
@@ -126,293 +75,6 @@ class TornMetadataDemoResult:
         return self.discarded_staged > 0
 
 
-def state_mismatch(
-    process: Process,
-    sp: dict[int, int],
-    dram_images: dict[int, ByteImage],
-    nvm_images: dict[int, ByteImage],
-    mem_at: list[dict[int, dict[int, int]]],
-    regs_at: list[dict[int, int]],
-    sequence: int | None,
-) -> str | None:
-    """Compare restored process state against checkpoint *sequence*'s snapshot.
-
-    The crash-consistency invariant shared by the single-core and multicore
-    sweeps: registers and stack contents (DRAM and NVM images alike) must
-    equal exactly one checkpoint's snapshot — never a blend of two
-    checkpoints or of two threads' epochs.  Returns None on an exact match,
-    else a description of the first divergence.  ``sequence=None`` means
-    "pristine": no checkpoint ever committed.
-    """
-    if sequence is None:
-        expected_regs = {tid: 0 for tid in sp}
-        expected_mem: dict[int, dict[int, int]] = {tid: {} for tid in sp}
-    else:
-        expected_regs = regs_at[sequence]
-        expected_mem = mem_at[sequence]
-    for thread in process.iter_threads():
-        tid = thread.tid
-        if thread.registers.op_index != expected_regs[tid]:
-            return (
-                f"tid {tid}: op_index {thread.registers.op_index} != "
-                f"expected {expected_regs[tid]}"
-            )
-        window = AddressRange(sp[tid], thread.stack.end)
-        for label, image in (
-            ("DRAM", dram_images[tid]),
-            ("NVM", nvm_images[tid]),
-        ):
-            actual = dict(image.words_in_range(window))
-            if actual != expected_mem[tid]:
-                return (
-                    f"tid {tid}: {label} stack contents diverge from "
-                    f"checkpoint {sequence} (blend or data loss)"
-                )
-    return None
-
-
-class _SweepScenario:
-    """One deterministic run of the sweep workload.
-
-    Stack contents are tracked twice: in the simulation's byte images (what
-    the checkpoint/recovery machinery operates on) and in a plain Python
-    mirror snapshotted before every checkpoint (what the invariant check
-    compares against).  The mirror is *derived independently* of the
-    checkpoint pipeline, so a pipeline bug cannot corrupt the expectation.
-    """
-
-    def __init__(
-        self,
-        seed: int,
-        threads: int,
-        intervals: int,
-        writes_per_interval: int,
-        transient_rate: float,
-        injector: FaultInjector | None,
-    ) -> None:
-        self.seed = seed
-        self.intervals = intervals
-        self.writes_per_interval = writes_per_interval
-        self.process = Process(name="fault-sweep")
-        self.hierarchy = MemoryHierarchy(setup_i())
-        if transient_rate and self.hierarchy.nvm is not None:
-            self.hierarchy.nvm.error_model = NvmErrorModel(
-                seed=seed, transient_write_rate=transient_rate
-            )
-        self.tracker = ProsperTracker(self.process.tracker_config)
-        self.dram_images: dict[int, ByteImage] = {}
-        self.nvm_images: dict[int, ByteImage] = {}
-        self.injector = injector
-        self.manager = CheckpointManager(
-            self.process,
-            self.hierarchy,
-            self.tracker,
-            injector=injector,
-            dram_images=self.dram_images,
-            nvm_images=self.nvm_images,
-        )
-        self.crash_sim = CrashSimulator(
-            self.process,
-            self.manager,
-            dram_images=self.dram_images,
-            nvm_images=self.nvm_images,
-        )
-        self.sp: dict[int, int] = {}
-        for _ in range(threads):
-            thread = self.process.spawn_thread(
-                stack_bytes=512 * 1024, persistent=True
-            )
-            thread.registers.stack_pointer = thread.stack.end - ACTIVE_WINDOW_BYTES
-            self.sp[thread.tid] = thread.registers.stack_pointer
-            self.dram_images[thread.tid] = ByteImage()
-            self.nvm_images[thread.tid] = ByteImage()
-        #: Independent mirror of each thread's live stack words.
-        self.mirror: dict[int, dict[int, int]] = {
-            tid: {} for tid in self.sp
-        }
-        #: Mirror + register snapshots taken just before checkpoint k.
-        self.mem_at: list[dict[int, dict[int, int]]] = []
-        self.regs_at: list[dict[int, int]] = []
-
-    # ------------------------------------------------------------------ #
-    # Workload
-    # ------------------------------------------------------------------ #
-
-    def _workload_interval(self, k: int) -> None:
-        """Dirty each thread's active window with interval-unique values.
-
-        The same addresses are rewritten every interval with values that
-        encode (thread, interval, write index), so any blend of two
-        checkpoint epochs shows up as a mismatched word.
-        """
-        for thread in self.process.iter_threads():
-            self.tracker.configure(thread.bitmap)
-            sp = self.sp[thread.tid]
-            for j in range(self.writes_per_interval):
-                address = sp + j * CLUSTER_STRIDE
-                value = (thread.tid << 48) | ((k + 1) << 32) | (j + 1)
-                self.tracker.observe_store(address, 8)
-                self.dram_images[thread.tid].write(address, value)
-                self.mirror[thread.tid][address] = value
-                thread.registers.op_index += 1
-            self.tracker.request_flush()
-            self.tracker.poll_quiescent()
-
-    def run(self) -> int:
-        """Run every interval + checkpoint; returns checkpoints completed.
-
-        An armed injector makes this raise :class:`CrashInjected` from
-        inside the checkpoint whose index is ``len(self.mem_at) - 1``.
-        """
-        completed = 0
-        for k in range(self.intervals):
-            self._workload_interval(k)
-            self.mem_at.append(
-                {tid: dict(words) for tid, words in self.mirror.items()}
-            )
-            self.regs_at.append(
-                {
-                    thread.tid: thread.registers.op_index
-                    for thread in self.process.iter_threads()
-                }
-            )
-            self.manager.checkpoint_process()
-            completed += 1
-        return completed
-
-    # ------------------------------------------------------------------ #
-    # Invariant check
-    # ------------------------------------------------------------------ #
-
-    def state_mismatch(self, sequence: int | None) -> str | None:
-        """Compare restored state against checkpoint *sequence*'s snapshot.
-
-        Delegates to the module-level :func:`state_mismatch`, which the
-        multicore sweep shares.
-        """
-        return state_mismatch(
-            self.process,
-            self.sp,
-            self.dram_images,
-            self.nvm_images,
-            self.mem_at,
-            self.regs_at,
-            sequence,
-        )
-
-
-class CrashConsistencyChecker:
-    """Enumerates every crash point of a workload and verifies recovery."""
-
-    def __init__(
-        self,
-        seed: int = 0,
-        threads: int = 2,
-        intervals: int = 3,
-        writes_per_interval: int = 4,
-        transient_rate: float = 0.0,
-    ) -> None:
-        if threads < 1 or intervals < 1 or writes_per_interval < 1:
-            raise ValueError("threads, intervals and writes must be positive")
-        if not 0.0 <= transient_rate <= 1.0:
-            raise ValueError("transient rate must be in [0, 1]")
-        self.seed = seed
-        self.threads = threads
-        self.intervals = intervals
-        self.writes_per_interval = writes_per_interval
-        self.transient_rate = transient_rate
-
-    def _scenario(self, injector: FaultInjector | None) -> _SweepScenario:
-        return _SweepScenario(
-            self.seed,
-            self.threads,
-            self.intervals,
-            self.writes_per_interval,
-            self.transient_rate,
-            injector,
-        )
-
-    def enumerate_points(self) -> list[tuple[str, int]]:
-        """Probe pass: every (point, occurrence) the workload reaches."""
-        probe = FaultInjector(self.seed)
-        self._scenario(probe).run()
-        ordered: list[str] = []
-        for point in probe.fired:
-            if point not in ordered:
-                ordered.append(point)
-        counts = probe.occurrences()
-        return [
-            (point, occurrence)
-            for point in ordered
-            for occurrence in range(counts[point])
-        ]
-
-    def run_case(self, point: str, occurrence: int) -> SweepCase:
-        """Crash at one (point, occurrence), recover, check the invariant."""
-        injector = FaultInjector(self.seed)
-        injector.arm(point, occurrence)
-        scenario = self._scenario(injector)
-        try:
-            scenario.run()
-        except CrashInjected:
-            pass
-        else:
-            return SweepCase(
-                point,
-                occurrence,
-                -1,
-                None,
-                OUTCOME_VIOLATION,
-                "armed crash point never fired",
-            )
-        crashed_in = len(scenario.mem_at) - 1
-        injector.disarm()
-        scenario.crash_sim.crash()
-        report = scenario.crash_sim.recover()
-        resumed = report.resumed_from_sequence
-
-        if resumed == crashed_in:
-            outcome = OUTCOME_ROLLED_FORWARD
-        elif crashed_in > 0 and resumed == crashed_in - 1:
-            outcome = OUTCOME_PREVIOUS
-        elif crashed_in == 0 and resumed is None:
-            outcome = OUTCOME_FRESH_START
-        else:
-            return SweepCase(
-                point,
-                occurrence,
-                crashed_in,
-                resumed,
-                OUTCOME_VIOLATION,
-                f"resumed from {resumed}, expected {crashed_in} or "
-                f"{crashed_in - 1 if crashed_in else None}",
-            )
-        mismatch = scenario.state_mismatch(resumed)
-        if mismatch is not None:
-            return SweepCase(
-                point, occurrence, crashed_in, resumed, OUTCOME_VIOLATION, mismatch
-            )
-        return SweepCase(point, occurrence, crashed_in, resumed, outcome)
-
-    def run(self) -> SweepReport:
-        """Sweep every enumerated (point, occurrence)."""
-        report = SweepReport(
-            self.seed,
-            self.threads,
-            self.intervals,
-            self.writes_per_interval,
-            self.transient_rate,
-        )
-        for point, occurrence in self.enumerate_points():
-            report.cases.append(self.run_case(point, occurrence))
-        return report
-
-
-# ---------------------------------------------------------------------- #
-# Targeted demos (used by the CLI and the example script)
-# ---------------------------------------------------------------------- #
-
-
 def transient_retry_demo(
     seed: int = 0,
     threads: int = 2,
@@ -427,14 +89,18 @@ def transient_retry_demo(
     retries are charged to the checkpoint's cycles, and recovery must
     still restore the last committed checkpoint exactly.
     """
-    checker = CrashConsistencyChecker(
-        seed, threads, intervals, writes_per_interval, transient_rate
+    target = KernelTarget(
+        threads=threads,
+        intervals=intervals,
+        writes=writes_per_interval,
+        seed=seed,
+        transient_rate=transient_rate,
     )
-    scenario = checker._scenario(None)
+    scenario = KernelScenario(target)
     completed = scenario.run()
-    retries = sum(record.retries for record in scenario.manager.checkpoints)
-    scenario.crash_sim.crash()
-    report = scenario.crash_sim.recover()
+    retries = sum(record.retries for record in scenario.sim.manager.checkpoints)
+    scenario.sim.crash()
+    report = scenario.sim.recover()
     mismatch = scenario.state_mismatch(report.resumed_from_sequence)
     return RetryDemoResult(
         checkpoints=completed,
@@ -452,7 +118,8 @@ def torn_metadata_demo(
 ) -> TornMetadataDemoResult:
     """Tear checkpoint 1's metadata record, crash mid-commit, recover.
 
-    The tear is silent at write time; the staging for checkpoint 1 is
+    The tear is silent at write time and survives the persist barrier, so
+    no persist plan can express it; the staging for checkpoint 1 is
     complete, so a recovery that trusted completeness alone would roll it
     forward onto registers it cannot validate.  The metadata CRC catches
     the tear: the staged data is discarded and the process falls back to
@@ -462,20 +129,20 @@ def torn_metadata_demo(
     injector.tear_metadata_at(1)
     # Crash at the commit-flag write of checkpoint 1 (its 2nd occurrence).
     injector.arm(COMMIT_FLAG_WRITE, occurrence=1)
-    checker = CrashConsistencyChecker(
-        seed, threads, intervals=2, writes_per_interval=writes_per_interval
+    target = KernelTarget(
+        threads=threads, intervals=2, writes=writes_per_interval, seed=seed
     )
-    scenario = checker._scenario(injector)
+    scenario = KernelScenario(target, injector)
     try:
         scenario.run()
     except CrashInjected:
         pass
     injector.disarm()
-    scenario.crash_sim.crash()
-    report = scenario.crash_sim.recover()
+    scenario.sim.crash()
+    report = scenario.sim.recover()
     mismatch = scenario.state_mismatch(report.resumed_from_sequence)
     return TornMetadataDemoResult(
         resumed_from=report.resumed_from_sequence,
-        discarded_staged=scenario.manager.discarded_staged,
+        discarded_staged=scenario.sim.manager.discarded_staged,
         state_ok=(report.resumed_from_sequence == 0) and mismatch is None,
     )

@@ -21,7 +21,7 @@ import os
 import tempfile
 from pathlib import Path
 
-from repro.config import SystemConfig
+from repro.config import SystemConfig, setup_i
 from repro.experiments.runner import vanilla_cycles
 from repro.workloads.trace import Trace
 
@@ -126,17 +126,18 @@ def active_cache() -> ResultCache | None:
     return _active
 
 
-def vanilla_cycles_cached(
-    trace: Trace,
-    config: SystemConfig | None = None,
-    config_label: str = "setup_i",
-) -> int:
-    """Baseline application cycles of *trace*, deduplicated via the cache."""
+def vanilla_cycles_cached(trace: Trace, config: SystemConfig | None = None) -> int:
+    """Baseline application cycles of *trace*, deduplicated via the cache.
+
+    The key covers every field of the (frozen) *config*, so two machines
+    share an entry only when they are the same machine.
+    """
     cache = _active
     if cache is None:
         return vanilla_cycles(trace, config)
+    config_digest = hashlib.sha1(repr(config or setup_i()).encode()).hexdigest()
     key = result_key(
-        trace_fingerprint(trace), "vanilla", "none", config_label, len(trace)
+        trace_fingerprint(trace), "vanilla", "none", config_digest, len(trace)
     )
     value = cache.get(key)
     if value is not None:

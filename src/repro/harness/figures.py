@@ -726,7 +726,7 @@ def _fig12_units(ops: int) -> list[RunUnit]:
 def _fig12_execute(params: dict) -> dict:
     config = setup_ii()
     trace = _overhead_trace(params["workload"], params["ops"], params["seed"])
-    base = vanilla_cycles_cached(trace, config, "setup_ii")
+    base = vanilla_cycles_cached(trace, config)
     mech = ProsperPersistence(
         TrackerConfig().with_granularity(params["granularity"])
     )

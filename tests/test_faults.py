@@ -13,13 +13,8 @@ from repro.faults.injector import (
     stage_run_copy,
 )
 from repro.faults.nvm_errors import WRITE_OK, WRITE_TORN, NvmErrorModel
-from repro.faults.sweep import (
-    OUTCOME_PREVIOUS,
-    OUTCOME_ROLLED_FORWARD,
-    CrashConsistencyChecker,
-    torn_metadata_demo,
-    transient_retry_demo,
-)
+from repro.faults.fuzzer import KernelTarget
+from repro.faults.sweep import run_sweep, torn_metadata_demo, transient_retry_demo
 from repro.kernel.checkpoint_mgr import CheckpointManager
 from repro.kernel.process import Process
 from repro.kernel.restore import CrashSimulator
@@ -211,13 +206,11 @@ class TestCrashSimulatorMemoryRestoration:
 
 class TestSweep:
     def test_small_sweep_has_zero_violations(self):
-        checker = CrashConsistencyChecker(
-            seed=0, threads=2, intervals=2, writes_per_interval=2
-        )
-        report = checker.run()
-        assert report.ok, [str(v) for v in report.violations]
+        target = KernelTarget(cores=1, threads=2, intervals=2, writes=2)
+        outcomes, violations = run_sweep(target)
+        assert not violations, violations[:1]
         # Every protocol family shows up, including per-run copy points.
-        points = {case.point for case in report.cases}
+        points = {outcome.spec.point for outcome in outcomes}
         assert {
             "metadata_write",
             "stage_begin",
@@ -228,26 +221,29 @@ class TestSweep:
             "persist_barrier",
             "bitmap_clear",
         } <= points
-        outcomes = {case.outcome for case in report.cases}
-        assert OUTCOME_ROLLED_FORWARD in outcomes
-        assert OUTCOME_PREVIOUS in outcomes
+        classifications = {outcome.classification for outcome in outcomes}
+        assert {"rolled_forward", "previous"} <= classifications
+        # Exhaustive mode crashes under the neat plan only.
+        assert all(outcome.plan.is_neat for outcome in outcomes)
 
     def test_sweep_is_deterministic(self):
-        checker = CrashConsistencyChecker(
-            seed=5, threads=1, intervals=2, writes_per_interval=2
-        )
-        assert checker.run().cases == checker.run().cases
+        target = KernelTarget(cores=1, threads=1, intervals=2, writes=2, seed=5)
+        assert run_sweep(target)[0] == run_sweep(target)[0]
 
     def test_sweep_under_transient_errors_still_consistent(self):
-        checker = CrashConsistencyChecker(
-            seed=1,
-            threads=1,
-            intervals=2,
-            writes_per_interval=2,
-            transient_rate=0.2,
+        target = KernelTarget(
+            cores=1, threads=1, intervals=2, writes=2, seed=1, transient_rate=0.2
         )
-        report = checker.run()
-        assert report.ok, [str(v) for v in report.violations]
+        outcomes, violations = run_sweep(target)
+        assert outcomes and not violations, violations[:1]
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(ValueError):
+            KernelTarget(writes=0)
+        with pytest.raises(ValueError):
+            KernelTarget(cores=0)
+        with pytest.raises(ValueError):
+            KernelTarget(transient_rate=1.5)
 
     def test_transient_retry_demo_accounts_retries(self):
         result = transient_retry_demo(seed=0)
@@ -273,6 +269,13 @@ class TestFaultsCli:
         assert code == 0
         assert "0 invariant violation(s)" in out
         assert "stage_run_copy[0]" in out
+        assert "ctx_save" in out  # the kernel path's context switches too
+
+    def test_faults_sweep_usage_error(self, capsys):
+        from repro.cli import main
+
+        assert main(["faults", "sweep", "--writes", "0"]) == 2
+        assert "error" in capsys.readouterr().err
 
     def test_list_mentions_faults(self, capsys):
         from repro.cli import main

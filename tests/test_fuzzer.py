@@ -3,14 +3,19 @@ randomized crash schedules, the weakened-recovery mutant catch, shrinking,
 and campaign determinism."""
 
 import random
+import re
 
 import pytest
 
+import repro.kernel.checkpoint_mgr as checkpoint_mgr
 from repro.faults.fuzzer import (
     CONTENT_MECHANISMS,
     INTERVAL_MECHANISMS,
+    TARGETS,
     CrashSpec,
+    EngineTarget,
     FuzzConfig,
+    KernelTarget,
     build_setup,
     build_trace,
     run_campaign,
@@ -19,6 +24,7 @@ from repro.faults.fuzzer import (
 )
 from repro.faults.injector import STAGE_COMPLETE, CrashInjected
 from repro.faults.order import PersistPlan
+from repro.faults.sweep import run_sweep
 
 #: Small, fast workload shared by the targeted tests.
 OPS = 600
@@ -153,14 +159,14 @@ class TestWeakenedRecoveryMutant:
         assert "durable" in bad.detail
 
         # And the already-minimal plan shrinks to itself.
-        shrunk = shrink_plan(
-            "prosper", "scalar", trace, INTERVAL_OPS, spec, plan, weaken=True
-        )
-        assert shrunk == plan
+        target = EngineTarget("prosper", "scalar", trace, INTERVAL_OPS, weaken=True)
+        assert shrink_plan(target, spec, plan) == plan
 
     def test_weaken_is_prosper_only(self):
         with pytest.raises(ValueError):
             build_setup("dirtybit", "scalar", weaken=True)
+        with pytest.raises(ValueError):
+            run_campaign(FuzzConfig(mechanisms=("prosper", "kernel"), weaken=True))
 
 
 class TestScheduleSemantics:
@@ -202,3 +208,68 @@ class TestScheduleSemantics:
             plan_rng=random.Random(4),
         )
         assert a.to_dict() == b.to_dict()
+
+
+class TestKernelTargets:
+    """The kernel path through the same schedule loop: named-point crashes
+    under sampled persist plans, judged by the mirror-snapshot oracle."""
+
+    def test_campaign_over_both_kernel_targets_is_clean(self):
+        report = run_campaign(
+            FuzzConfig(seed=2026, budget=128, mechanisms=("kernel", "multicore"),
+                       intervals=INTERVALS)
+        )
+        assert report["ok"], report["violations"][:1]
+        assert [(c["mechanism"], c["engine"]) for c in report["combos"]] == [
+            ("kernel", "-"), ("multicore", "-")
+        ]
+        for combo in report["combos"]:
+            # No cycle clock: every schedule crashes at a named point.
+            assert combo["probe_cycles"] is None
+            assert combo["crash_kinds"] == {"point": 64}
+        assert any(c["plan_kinds"].get("dropped") for c in report["combos"])
+        assert any(c["plan_kinds"].get("torn") for c in report["combos"])
+
+    def test_cli_accepts_every_target(self):
+        from repro.cli import build_faults_parser
+
+        parser = build_faults_parser()
+        for name in TARGETS:
+            args = parser.parse_args(["fuzz", "--mechanism", name])
+            assert args.mechanism == [name]
+        with pytest.raises(SystemExit):
+            parser.parse_args(["fuzz", "--mechanism", "nope"])
+
+
+class TestSkipChecksumMutant:
+    """Kernel recovery that skips the staged-run checksum gate passes every
+    neat crash, so only sampled persist plans — a torn staged run — can
+    catch it."""
+
+    @pytest.fixture
+    def skip_checksum(self, monkeypatch):
+        monkeypatch.setattr(checkpoint_mgr, "_safe_verify", lambda staged: True)
+
+    @pytest.mark.parametrize("cores, cases", ((1, 54 + 12), (2, 126)))
+    def test_exhaustive_sweep_misses_it(self, skip_checksum, cores, cases):
+        # The full neat sweep of the default shape: on one core, the 54
+        # staging/commit cases plus 12 context-switch and barrier cases.
+        outcomes, violations = run_sweep(KernelTarget(cores=cores))
+        assert len(outcomes) == cases
+        assert not violations
+
+    def test_campaign_catches_and_shrinks_it(self, skip_checksum):
+        report = run_campaign(
+            FuzzConfig(seed=0, budget=384, mechanisms=("kernel", "multicore"),
+                       intervals=INTERVALS)
+        )
+        assert not report["ok"]
+        assert {v["mechanism"] for v in report["violations"]} == {
+            "kernel", "multicore"
+        }
+        for violation in report["violations"]:
+            assert "diverge" in violation["detail"]
+            shrunk = violation["shrunk_plan"]
+            assert shrunk["dropped"] == []
+            assert re.fullmatch(r"t\d+\.ckpt\[\d+\]\.stage_run\[\d+\]", shrunk["torn"])
+            assert "--engine" not in violation["repro"]

@@ -222,6 +222,25 @@ class TestResultCache:
         assert first == second == vanilla_cycles(trace)
         assert cache.hits == 1 and cache.misses == 1
 
+    def test_configs_differing_in_one_field_do_not_share_an_entry(self):
+        from dataclasses import replace
+
+        from repro.config import setup_i
+        from repro.workloads.apps import gapbs_pr
+
+        trace = gapbs_pr(2000, 42)
+        config = setup_i()
+        slower = replace(config, freq_hz=config.freq_hz // 2)
+        cache = cache_mod.ResultCache()
+        cache_mod.activate(cache)
+        try:
+            cache_mod.vanilla_cycles_cached(trace)
+            cache_mod.vanilla_cycles_cached(trace, config)  # same machine
+            cache_mod.vanilla_cycles_cached(trace, slower)
+        finally:
+            cache_mod.activate(None)
+        assert cache.hits == 1 and cache.misses == 2
+
     def test_directory_layer_shared_between_instances(self, tmp_path):
         a = cache_mod.ResultCache(tmp_path)
         a.put("k", 123)

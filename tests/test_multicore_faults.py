@@ -1,8 +1,8 @@
-"""Tests for the multicore crash sweep: context switches and barriers.
+"""Tests for the multicore kernel target: context switches and barriers.
 
 The single-core sweep (tests/test_faults.py) covers the staging/commit
-protocol; these tests cover the crash surfaces only the multicore path
-has — tracker save/restore inside a context switch and the stop-the-world
+protocol; these tests cover the crash surfaces a second core multiplies —
+tracker save/restore inside a context switch and the stop-the-world
 quiesce barrier — and assert recovery never blends per-thread checkpoint
 epochs.
 """
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.faults.fuzzer import CrashSpec, KernelScenario, KernelTarget
 from repro.faults.injector import (
     BARRIER_QUIESCE,
     CRASH_POINT_FAMILIES,
@@ -19,21 +20,28 @@ from repro.faults.injector import (
     CrashInjected,
     FaultInjector,
 )
-from repro.faults.multicore_sweep import (
-    MulticoreCrashChecker,
-    _MulticoreScenario,
-)
-from repro.faults.sweep import OUTCOME_VIOLATION
+from repro.faults.order import PersistPlan
+from repro.faults.sweep import run_sweep
+
+TARGET = KernelTarget(cores=2, threads=2, intervals=2, writes=2)
 
 
 @pytest.fixture(scope="module")
-def checker() -> MulticoreCrashChecker:
-    return MulticoreCrashChecker(seed=0, cores=2, intervals=2, writes_per_interval=2)
+def sweep():
+    """The full 2-core sweep, run once for the whole module."""
+    return run_sweep(TARGET)
 
 
 @pytest.fixture(scope="module")
-def points(checker) -> list[tuple[str, int]]:
-    return checker.enumerate_points()
+def points(sweep) -> list[tuple[str, int]]:
+    return [(outcome.spec.point, outcome.spec.occurrence) for outcome in sweep[0]]
+
+
+def run_case(point: str, occurrence: int):
+    return TARGET.run(
+        CrashSpec("point", point=point, occurrence=occurrence),
+        forced_plan=PersistPlan(),
+    )
 
 
 class TestEnumeration:
@@ -58,46 +66,55 @@ class TestEnumeration:
         # 2 cores x 2 checkpoints = 4 quiesce crossings.
         assert count == 4
 
+    def test_single_core_target_reaches_the_kernel_surfaces_too(self):
+        _, fired = KernelTarget(cores=1, threads=2, intervals=2, writes=2).probe()
+        assert {CTX_SAVE, CTX_RESTORE, BARRIER_QUIESCE} <= set(fired)
+
 
 class TestSweep:
-    def test_full_sweep_has_no_violations(self, checker):
-        report = checker.run()
-        assert report.cases, "sweep enumerated no cases"
-        assert report.ok, [case.detail for case in report.violations]
+    def test_full_sweep_has_no_violations(self, sweep):
+        outcomes, violations = sweep
+        assert outcomes, "sweep enumerated no cases"
+        assert not violations, [v["detail"] for v in violations]
 
-    def test_ctx_save_crash_restores_latest_checkpoint(self, checker, points):
+    def test_ctx_save_crash_restores_latest_checkpoint(self, points):
         occurrences = [occ for point, occ in points if point == CTX_SAVE]
         assert occurrences
         # The last ctx_save fires after checkpoint 0 committed; recovery
         # must restore checkpoint 0 exactly, not fresh state.
-        case = checker.run_case(CTX_SAVE, occurrences[-1])
+        case = run_case(CTX_SAVE, occurrences[-1])
         assert case.ok, case.detail
-        assert case.resumed_from == 0
+        assert case.resumed == 0
+        assert case.expected == (0,)  # only the latest commit is legal
+        assert case.classification == "previous"
 
-    def test_ctx_restore_crash_recovers(self, checker, points):
+    def test_ctx_restore_crash_recovers(self, points):
         occurrences = [occ for point, occ in points if point == CTX_RESTORE]
         assert occurrences
-        case = checker.run_case(CTX_RESTORE, occurrences[0])
+        case = run_case(CTX_RESTORE, occurrences[0])
         assert case.ok, case.detail
 
-    def test_barrier_crash_falls_back_to_previous(self, checker, points):
+    def test_barrier_crash_falls_back_to_previous(self, points):
         occurrences = [occ for point, occ in points if point == BARRIER_QUIESCE]
         # A barrier crash happens before any staging of the in-flight
         # checkpoint, so roll-forward is impossible.
         for occurrence in occurrences:
-            case = checker.run_case(BARRIER_QUIESCE, occurrence)
+            case = run_case(BARRIER_QUIESCE, occurrence)
             assert case.ok, case.detail
-            assert case.outcome in ("previous", "fresh_start")
+            assert case.classification in ("previous", "fresh_start")
+
+    def test_unreachable_point_is_a_violation(self):
+        case = run_case(CTX_SAVE, 10_000)
+        assert not case.crashed and not case.ok
+        assert case.classification == "violation"
+        assert "never fired" in case.detail
 
 
 class TestBlendDetection:
     """The invariant check itself must be able to catch blends."""
 
     def test_mismatched_epoch_is_detected(self):
-        checker = MulticoreCrashChecker(
-            seed=0, cores=2, intervals=2, writes_per_interval=2
-        )
-        scenario = checker._scenario(None)
+        scenario = KernelScenario(TARGET)
         scenario.run()
         scenario.sim.crash()
         report = scenario.sim.recover()
@@ -112,10 +129,7 @@ class TestBlendDetection:
 
     def test_hand_blended_state_is_flagged(self):
         """Corrupt one thread's restored stack word; the check must fire."""
-        checker = MulticoreCrashChecker(
-            seed=0, cores=2, intervals=2, writes_per_interval=2
-        )
-        scenario = checker._scenario(None)
+        scenario = KernelScenario(TARGET)
         scenario.run()
         scenario.sim.crash()
         report = scenario.sim.recover()
@@ -132,21 +146,15 @@ class TestBlendDetection:
 class TestScenarioDeterminism:
     def test_probe_and_armed_runs_align(self):
         """The armed run must reach the same points as the probe."""
-        checker = MulticoreCrashChecker(
-            seed=3, cores=2, intervals=2, writes_per_interval=2
-        )
-        probe_points = checker.enumerate_points()
+        target = KernelTarget(cores=2, threads=2, intervals=2, writes=2, seed=3)
+        _, probe_points = target.probe()
         injector = FaultInjector(3)
         injector.arm(CTX_SAVE, 0)
-        scenario = _MulticoreScenario(3, 2, 2, 2, injector)
         with pytest.raises(CrashInjected):
-            scenario.run()
-        fired_before_crash = injector.fired
-        probe_names = [point for point, _ in probe_points]
-        assert set(fired_before_crash) <= set(probe_names)
+            KernelScenario(target, injector).run()
+        assert set(injector.fired) <= set(probe_points)
 
-    def test_violation_cases_would_carry_detail(self, checker):
-        report = checker.run()
-        for case in report.cases:
-            if case.outcome == OUTCOME_VIOLATION:
-                assert case.detail
+    def test_violation_cases_would_carry_detail(self, sweep):
+        for outcome in sweep[0]:
+            if outcome.classification == "violation":
+                assert outcome.detail

@@ -1,7 +1,7 @@
 """Torn-write detection at recovery time, in the kernel world.
 
 A power cut can tear any write still pending behind the last persist
-barrier.  These tests crash the multicore checkpoint protocol mid-staging,
+barrier.  These tests crash the kernel checkpoint protocol mid-staging,
 apply a persist plan that tears one specific record, and assert that
 recovery *detects* the tear via CRC32, degrades to the previous committed
 checkpoint (or pristine state), and never raises out of
@@ -9,29 +9,23 @@ checkpoint (or pristine state), and never raises out of
 
 import pytest
 
+from repro.faults.fuzzer import KernelScenario, KernelTarget
 from repro.faults.injector import STAGE_COMPLETE, CrashInjected, FaultInjector
 from repro.faults.order import PersistOrderOracle, PersistPlan
-from repro.faults.sweep import _SweepScenario
 
 
 def _crashed_scenario(point: str, occurrence: int):
-    """Run the 2-thread sweep workload until the armed crash point fires.
+    """Run the single-core, 2-thread kernel workload until the armed crash
+    point fires.
 
     Returns the scenario plus its persist-order oracle, whose pending set
     holds exactly the writes issued since the last persist barrier.
     """
     injector = FaultInjector(0)
     injector.arm(point, occurrence)
-    scenario = _SweepScenario(
-        seed=0,
-        threads=2,
-        intervals=3,
-        writes_per_interval=4,
-        transient_rate=0.0,
-        injector=injector,
-    )
     oracle = PersistOrderOracle()
-    scenario.hierarchy.nvm.order_oracle = oracle
+    target = KernelTarget(cores=1, threads=2, intervals=3, writes=4)
+    scenario = KernelScenario(target, injector, oracle)
     with pytest.raises(CrashInjected):
         scenario.run()
     return scenario, oracle
@@ -52,8 +46,8 @@ class TestTornMetadataRecord:
         # and recovery rolls checkpoint 0 forward.
         scenario, oracle = _crashed_scenario(self.POINT, self.OCCURRENCE)
         assert "proc[0].metadata" in oracle.pending_labels()
-        scenario.crash_sim.crash(order_oracle=oracle, plan=PersistPlan())
-        report = scenario.crash_sim.recover()
+        scenario.sim.crash_sim.crash(order_oracle=oracle, plan=PersistPlan())
+        report = scenario.sim.crash_sim.recover()
         assert report.resumed_from_sequence == 0
         assert report.rolled_forward
         assert scenario.state_mismatch(0) is None
@@ -64,8 +58,8 @@ class TestTornMetadataRecord:
         # recovery lands on the pristine state without raising.
         scenario, oracle = _crashed_scenario(self.POINT, self.OCCURRENCE)
         plan = PersistPlan(frozenset(), "proc[0].metadata")
-        scenario.crash_sim.crash(order_oracle=oracle, plan=plan)
-        report = scenario.crash_sim.recover()
+        scenario.sim.crash_sim.crash(order_oracle=oracle, plan=plan)
+        report = scenario.sim.crash_sim.recover()
         assert report.resumed_from_sequence is None
         assert not report.rolled_forward
         assert scenario.state_mismatch(None) is None
@@ -77,10 +71,10 @@ class TestTornStagedRun:
         # checksum fails, so the staging is incomplete and pristine wins.
         scenario, oracle = _crashed_scenario(STAGE_COMPLETE, 1)
         torn = _pending_stage_runs(oracle)[-1]
-        scenario.crash_sim.crash(
+        scenario.sim.crash_sim.crash(
             order_oracle=oracle, plan=PersistPlan(frozenset(), torn)
         )
-        report = scenario.crash_sim.recover()
+        report = scenario.sim.crash_sim.recover()
         assert report.resumed_from_sequence is None
         assert scenario.state_mismatch(None) is None
 
@@ -92,10 +86,10 @@ class TestTornStagedRun:
         scenario, oracle = _crashed_scenario(STAGE_COMPLETE, 3)
         runs = _pending_stage_runs(oracle)
         assert runs and all(label.startswith("t2.ckpt[1].") for label in runs)
-        scenario.crash_sim.crash(
+        scenario.sim.crash_sim.crash(
             order_oracle=oracle, plan=PersistPlan(frozenset(), runs[-1])
         )
-        report = scenario.crash_sim.recover()
+        report = scenario.sim.crash_sim.recover()
         assert report.resumed_from_sequence == 0
         assert not report.rolled_forward
         assert scenario.state_mismatch(0) is None
@@ -117,7 +111,7 @@ class TestTornStagedRun:
                 if record is not None and record.undo is not None
                 else PersistPlan()
             )
-            scenario.crash_sim.crash(order_oracle=oracle, plan=plan)
-            report = scenario.crash_sim.recover()
+            scenario.sim.crash_sim.crash(order_oracle=oracle, plan=plan)
+            report = scenario.sim.crash_sim.recover()
             assert report.resumed_from_sequence in (None, 0, 1)
             assert scenario.state_mismatch(report.resumed_from_sequence) is None
